@@ -6,8 +6,13 @@
 //! is possible to maintain just i pointers (i < N) to yield the Dir_i NB
 //! scheme. Invalidations are forced to limit the cached copies of a block
 //! to i, or to gain exclusive ownership on a write."
-
-use std::collections::BTreeMap;
+//!
+//! The directory is not stored: a block's pointers are exactly the caches
+//! holding it, which are the matching slots of its line's row in the
+//! [`crate::cache::SlotTable`], and the entry is dirty iff one of them is.
+//! [`crate::system::DirectorySystem`] derives each entry from that row and
+//! enforces the pointer limit below, evicting the oldest pointer (FIFO)
+//! when a read would add pointer `i + 1`.
 
 /// The number of sharer pointers each directory entry can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,140 +57,6 @@ impl PointerLimit {
     }
 }
 
-/// One directory entry: the sharer set of a block (dirty iff the single
-/// sharer holds it modified).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DirEntry {
-    sharers: Vec<usize>,
-    dirty: bool,
-}
-
-impl DirEntry {
-    /// The caches holding this block.
-    pub fn sharers(&self) -> &[usize] {
-        &self.sharers
-    }
-
-    /// Whether the (single) copy is modified.
-    pub fn dirty(&self) -> bool {
-        self.dirty
-    }
-}
-
-/// The directory: block address → sharer set.
-///
-/// # Examples
-///
-/// ```
-/// use abs_coherence::directory::{Directory, PointerLimit};
-/// let mut d = Directory::new(PointerLimit::Limited(2), 4);
-/// assert_eq!(d.add_sharer(100, 0), None);
-/// assert_eq!(d.add_sharer(100, 1), None);
-/// // Third sharer overflows the 2-pointer entry: one victim is evicted.
-/// let victim = d.add_sharer(100, 2);
-/// assert!(victim.is_some());
-/// assert_eq!(d.sharers(100).len(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directory {
-    limit: PointerLimit,
-    procs: usize,
-    // Ordered so that any iteration over tracked blocks is
-    // address-ordered, independent of insertion history and hasher state.
-    entries: BTreeMap<u64, DirEntry>,
-}
-
-impl Directory {
-    /// Creates an empty directory.
-    pub fn new(limit: PointerLimit, procs: usize) -> Self {
-        assert!(procs > 0, "at least one processor required");
-        // Validate limited counts eagerly.
-        let _ = limit.pointers(procs);
-        Self {
-            limit,
-            procs,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The pointer limit.
-    pub fn limit(&self) -> PointerLimit {
-        self.limit
-    }
-
-    /// The sharer list of a block (empty if uncached).
-    pub fn sharers(&self, block: u64) -> &[usize] {
-        self.entries
-            .get(&block)
-            .map(|e| e.sharers())
-            .unwrap_or(&[])
-    }
-
-    /// Whether the block is dirty in some cache.
-    pub fn is_dirty(&self, block: u64) -> bool {
-        self.entries.get(&block).is_some_and(|e| e.dirty)
-    }
-
-    /// Adds `proc` as a clean sharer. If the entry's pointers are full,
-    /// returns the sharer that must be invalidated to make room (the
-    /// protocol picks the first pointer — FIFO replacement). The caller is
-    /// responsible for actually invalidating that cache.
-    ///
-    /// Clears the dirty bit (the caller handles the writeback).
-    pub fn add_sharer(&mut self, block: u64, proc: usize) -> Option<usize> {
-        let max = self.limit.pointers(self.procs);
-        let entry = self.entries.entry(block).or_default();
-        entry.dirty = false;
-        if entry.sharers.contains(&proc) {
-            return None;
-        }
-        let victim = if entry.sharers.len() >= max {
-            Some(entry.sharers.remove(0))
-        } else {
-            None
-        };
-        entry.sharers.push(proc);
-        victim
-    }
-
-    /// Makes `proc` the exclusive dirty owner, returning the sharers that
-    /// must be invalidated (all current sharers except `proc`).
-    pub fn make_exclusive(&mut self, block: u64, proc: usize) -> Vec<usize> {
-        let entry = self.entries.entry(block).or_default();
-        let victims: Vec<usize> = entry
-            .sharers
-            .iter()
-            .copied()
-            .filter(|&s| s != proc)
-            .collect();
-        entry.sharers.clear();
-        entry.sharers.push(proc);
-        entry.dirty = true;
-        victims
-    }
-
-    /// Removes `proc` from the sharer set (cache eviction). Returns whether
-    /// the departing copy was the dirty one.
-    pub fn remove_sharer(&mut self, block: u64, proc: usize) -> bool {
-        let Some(entry) = self.entries.get_mut(&block) else {
-            return false;
-        };
-        let present = entry.sharers.iter().position(|&s| s == proc);
-        let Some(idx) = present else { return false };
-        entry.sharers.remove(idx);
-        let was_dirty = entry.dirty && entry.sharers.is_empty();
-        if entry.sharers.is_empty() {
-            self.entries.remove(&block);
-        }
-        was_dirty
-    }
-
-    /// Number of blocks with at least one sharer.
-    pub fn tracked_blocks(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,74 +77,8 @@ mod tests {
     }
 
     #[test]
-    fn add_sharer_dedup() {
-        let mut d = Directory::new(PointerLimit::Limited(2), 4);
-        assert_eq!(d.add_sharer(7, 1), None);
-        assert_eq!(d.add_sharer(7, 1), None);
-        assert_eq!(d.sharers(7), &[1]);
-    }
-
-    #[test]
-    fn overflow_evicts_fifo() {
-        let mut d = Directory::new(PointerLimit::Limited(2), 8);
-        d.add_sharer(7, 0);
-        d.add_sharer(7, 1);
-        assert_eq!(d.add_sharer(7, 2), Some(0));
-        assert_eq!(d.sharers(7), &[1, 2]);
-        assert_eq!(d.add_sharer(7, 3), Some(1));
-    }
-
-    #[test]
-    fn full_map_never_overflows() {
-        let mut d = Directory::new(PointerLimit::Full, 8);
-        for p in 0..8 {
-            assert_eq!(d.add_sharer(3, p), None, "proc {p}");
-        }
-        assert_eq!(d.sharers(3).len(), 8);
-    }
-
-    #[test]
-    fn make_exclusive_invalidates_others() {
-        let mut d = Directory::new(PointerLimit::Full, 8);
-        for p in 0..4 {
-            d.add_sharer(5, p);
-        }
-        let victims = d.make_exclusive(5, 2);
-        assert_eq!(victims, vec![0, 1, 3]);
-        assert_eq!(d.sharers(5), &[2]);
-        assert!(d.is_dirty(5));
-    }
-
-    #[test]
-    fn make_exclusive_on_uncached_block() {
-        let mut d = Directory::new(PointerLimit::Limited(2), 4);
-        assert!(d.make_exclusive(9, 1).is_empty());
-        assert!(d.is_dirty(9));
-    }
-
-    #[test]
-    fn read_after_write_clears_dirty() {
-        let mut d = Directory::new(PointerLimit::Full, 4);
-        d.make_exclusive(9, 1);
-        d.add_sharer(9, 2);
-        assert!(!d.is_dirty(9));
-        assert_eq!(d.sharers(9), &[1, 2]);
-    }
-
-    #[test]
-    fn remove_sharer_cleans_up() {
-        let mut d = Directory::new(PointerLimit::Full, 4);
-        d.make_exclusive(4, 3);
-        assert!(d.remove_sharer(4, 3));
-        assert_eq!(d.tracked_blocks(), 0);
-        assert!(!d.remove_sharer(4, 3));
-    }
-
-    #[test]
-    fn remove_clean_sharer_is_not_dirty_eviction() {
-        let mut d = Directory::new(PointerLimit::Full, 4);
-        d.add_sharer(4, 0);
-        d.add_sharer(4, 1);
-        assert!(!d.remove_sharer(4, 0));
+    #[should_panic(expected = "positive")]
+    fn zero_pointers_rejected() {
+        PointerLimit::Limited(0).pointers(4);
     }
 }

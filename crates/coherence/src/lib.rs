@@ -21,6 +21,10 @@
 //! * **Table 2** — with synchronization variables *uncached*, their network
 //!   traffic as a percentage of total memory traffic.
 //!
+//! Both machines keep every processor's cache in one line-major slot table
+//! (see [`cache`]); the directory is derived from it rather than stored
+//! (see [`directory`]).
+//!
 //! [`trace::MemorySystem`]: abs_trace::ops::MemorySystem
 
 #![forbid(unsafe_code)]
@@ -32,8 +36,8 @@ pub mod snoopy;
 pub mod stats;
 pub mod system;
 
-pub use cache::{CacheGeometry, DirectMappedCache, LineState};
-pub use directory::{Directory, PointerLimit};
+pub use cache::CacheGeometry;
+pub use directory::PointerLimit;
 pub use snoopy::{SnoopyBus, SnoopyStats};
 pub use stats::CoherenceStats;
 pub use system::{DirectorySystem, SyncCaching};

@@ -17,7 +17,7 @@
 
 use abs_trace::ops::{MemorySystem, RefKind};
 
-use crate::cache::{CacheGeometry, DirectMappedCache, LineState};
+use crate::cache::{holds, is_dirty, CacheGeometry, SlotTable, EMPTY};
 
 /// Counters for the snoopy machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,8 +80,7 @@ impl SnoopyStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnoopyBus {
     procs: usize,
-    geometry: CacheGeometry,
-    caches: Vec<DirectMappedCache>,
+    slots: SlotTable,
     stats: SnoopyStats,
 }
 
@@ -95,8 +94,7 @@ impl SnoopyBus {
         assert!(procs > 0, "at least one processor required");
         Self {
             procs,
-            geometry,
-            caches: (0..procs).map(|_| DirectMappedCache::new(geometry)).collect(),
+            slots: SlotTable::new(procs, geometry),
             stats: SnoopyStats::default(),
         }
     }
@@ -110,76 +108,56 @@ impl SnoopyBus {
     pub fn procs(&self) -> usize {
         self.procs
     }
-
-    fn bus(&mut self, sync: bool) {
-        self.stats.bus_transactions += 1;
-        if sync {
-            self.stats.bus_sync += 1;
-        }
-    }
-
-    /// Invalidates every other cache's copy of `block` in one broadcast.
-    fn broadcast_invalidate(&mut self, block: u64, except: usize) {
-        let mut any = false;
-        for (p, cache) in self.caches.iter_mut().enumerate() {
-            if p != except && cache.invalidate(block).is_some() {
-                any = true;
-            }
-        }
-        if any {
-            self.stats.broadcast_invalidations += 1;
-        }
-    }
-
-    /// Downgrades any dirty copy elsewhere to shared (snoop hit supplies
-    /// the data).
-    fn downgrade_others(&mut self, block: u64, except: usize) {
-        for (p, cache) in self.caches.iter_mut().enumerate() {
-            if p != except && cache.lookup(block) == Some(LineState::Dirty) {
-                cache.set_state(block, LineState::Shared);
-            }
-        }
-    }
 }
 
 impl MemorySystem for SnoopyBus {
     fn access(&mut self, proc: usize, addr: u64, write: bool, kind: RefKind) {
-        debug_assert!(proc < self.procs, "processor id out of range");
         self.stats.refs += 1;
         let sync = kind.is_sync();
         if sync {
             self.stats.refs_sync += 1;
         }
-        let block = self.geometry.block_of(addr);
-        let resident = self.caches[proc].lookup(block);
+        // Every cache's copy of the block sits in one row, so each snoop
+        // is one scan of it.
+        let (start, clean) = self.slots.locate(addr);
+        let row = self.slots.row(start);
+        let own = row[proc]; // panics on an out-of-range processor id
+        let mut bus = 0u64;
         if write {
-            match resident {
-                Some(LineState::Dirty) => {}
-                Some(LineState::Shared) => {
-                    // Bus upgrade: one transaction, broadcast invalidation.
-                    self.bus(sync);
-                    self.broadcast_invalidate(block, proc);
-                    self.caches[proc].set_state(block, LineState::Dirty);
-                }
-                None => {
-                    // Bus read-exclusive: one transaction.
-                    self.bus(sync);
-                    self.broadcast_invalidate(block, proc);
-                    let evicted = self.caches[proc].fill(block, LineState::Dirty);
-                    if let Some((_, LineState::Dirty)) = evicted {
-                        self.bus(sync); // writeback
+            if own != clean | 1 {
+                // Bus upgrade or read-exclusive: one transaction, and one
+                // broadcast invalidation however many copies it kills.
+                bus += 1;
+                let mut any = false;
+                for (q, slot) in row.iter_mut().enumerate() {
+                    if q != proc && holds(*slot, clean) {
+                        *slot = EMPTY;
+                        any = true;
                     }
                 }
+                if any {
+                    self.stats.broadcast_invalidations += 1;
+                }
+                if is_dirty(own) {
+                    bus += 1; // writeback of the displaced block
+                }
+                row[proc] = clean | 1;
             }
-        } else if resident.is_none() {
+        } else if !holds(own, clean) {
             // Bus read: one transaction; a dirty peer snarfs in and
-            // downgrades.
-            self.bus(sync);
-            self.downgrade_others(block, proc);
-            let evicted = self.caches[proc].fill(block, LineState::Shared);
-            if let Some((_, LineState::Dirty)) = evicted {
-                self.bus(sync); // writeback
+            // downgrades to shared.
+            bus += 1;
+            for slot in row.iter_mut().filter(|slot| **slot == clean | 1) {
+                *slot = clean;
             }
+            if is_dirty(own) {
+                bus += 1; // writeback of the displaced block
+            }
+            row[proc] = clean;
+        }
+        self.stats.bus_transactions += bus;
+        if sync {
+            self.stats.bus_sync += bus;
         }
     }
 
@@ -301,6 +279,12 @@ mod tests {
         let small = occupancy(4);
         let large = occupancy(32);
         assert!(large > small, "occupancy {small} -> {large} must grow");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_processor_panics() {
+        tiny().access(4, 0x40, false, RefKind::Shared);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The complete memory system: caches + directory + protocol.
+//! The complete memory system: caches + derived directory + protocol.
 //!
 //! [`DirectorySystem`] implements [`MemorySystem`], so the `abs-trace`
 //! scheduler can drive it directly with a synthetic application — the
@@ -6,8 +6,8 @@
 
 use abs_trace::ops::{MemorySystem, RefKind};
 
-use crate::cache::{CacheGeometry, DirectMappedCache, LineState};
-use crate::directory::{Directory, PointerLimit};
+use crate::cache::{holds, is_dirty, CacheGeometry, SlotTable, EMPTY};
+use crate::directory::PointerLimit;
 use crate::stats::CoherenceStats;
 
 /// How synchronization (and optionally all shared) variables are treated.
@@ -48,11 +48,16 @@ pub enum SyncCaching {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DirectorySystem {
-    geometry: CacheGeometry,
     procs: usize,
     mode: SyncCaching,
-    caches: Vec<DirectMappedCache>,
-    directory: Directory,
+    /// Pointers per directory entry.
+    pointers: usize,
+    slots: SlotTable,
+    /// When each slot's copy became a read sharer, parallel to `slots`:
+    /// the FIFO overflow victim is the sharer with the oldest stamp. Left
+    /// empty when entries cannot overflow (`pointers == procs`).
+    stamps: Vec<u64>,
+    next_stamp: u64,
     stats: CoherenceStats,
 }
 
@@ -69,12 +74,19 @@ impl DirectorySystem {
         mode: SyncCaching,
     ) -> Self {
         assert!(procs > 0, "at least one processor required");
+        let pointers = limit.pointers(procs);
+        let stamps = if pointers < procs {
+            vec![0; geometry.lines() * procs]
+        } else {
+            Vec::new()
+        };
         Self {
-            geometry,
             procs,
             mode,
-            caches: (0..procs).map(|_| DirectMappedCache::new(geometry)).collect(),
-            directory: Directory::new(limit, procs),
+            pointers,
+            slots: SlotTable::new(procs, geometry),
+            stamps,
+            next_stamp: 1,
             stats: CoherenceStats::new(),
         }
     }
@@ -108,36 +120,10 @@ impl DirectorySystem {
             }
         }
     }
-
-    /// Evicts `proc`'s resident copy of whatever `fill` displaced,
-    /// returning the extra transactions (dirty writeback).
-    fn handle_eviction(&mut self, proc: usize, evicted: Option<(u64, LineState)>) -> u64 {
-        let Some((old_block, state)) = evicted else {
-            return 0;
-        };
-        self.directory.remove_sharer(old_block, proc);
-        if state == LineState::Dirty {
-            self.stats.writebacks += 1;
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Invalidates `victims`' copies of `block`, returning the number of
-    /// messages (one per victim).
-    fn invalidate_all(&mut self, block: u64, victims: &[usize]) -> u64 {
-        for &v in victims {
-            self.caches[v].invalidate(block);
-        }
-        self.stats.invalidation_messages += victims.len() as u64;
-        victims.len() as u64
-    }
 }
 
 impl MemorySystem for DirectorySystem {
     fn access(&mut self, proc: usize, addr: u64, write: bool, kind: RefKind) {
-        debug_assert!(proc < self.procs, "processor id out of range");
         self.stats.record_ref(kind);
 
         if self.bypasses_cache(kind) {
@@ -149,83 +135,101 @@ impl MemorySystem for DirectorySystem {
             return;
         }
 
-        let block = self.geometry.block_of(addr);
+        // The block's directory entry is its line's row: the sharers are
+        // the slots holding it, dirty iff one of them holds it modified.
+        let (start, clean) = self.slots.locate(addr);
+        let row = self.slots.row(start);
+        let own = row[proc]; // panics on an out-of-range processor id
+        let stats = &mut self.stats;
         let mut traffic = 0u64;
         let mut invalidations = 0u64;
 
-        let resident = self.caches[proc].lookup(block);
         if write {
-            let was_dirty_here = resident == Some(LineState::Dirty);
-            let was_clean_globally = !self.directory.is_dirty(block);
-            match resident {
-                Some(LineState::Dirty) => {
-                    // Write hit on an exclusive copy: silent.
+            if own != clean | 1 {
+                // Upgrade or write miss: invalidate every other copy.
+                let mut was_dirty = false;
+                for (q, slot) in row.iter_mut().enumerate() {
+                    if q != proc && holds(*slot, clean) {
+                        was_dirty |= is_dirty(*slot);
+                        *slot = EMPTY;
+                        invalidations += 1;
+                    }
                 }
-                Some(LineState::Shared) => {
-                    // Upgrade: invalidate all other sharers.
-                    let victims = self.directory.make_exclusive(block, proc);
-                    traffic += 1 + self.invalidate_all(block, &victims);
-                    invalidations += victims.len() as u64;
-                    self.caches[proc].set_state(block, LineState::Dirty);
-                }
-                None => {
-                    // Write miss: fetch exclusive.
-                    self.stats.misses += 1;
+                stats.invalidation_messages += invalidations;
+                traffic += invalidations;
+                if own == clean {
+                    traffic += 1;
+                } else {
+                    // Write miss: fetch exclusive, retrieving a dirty copy
+                    // from its owner first.
+                    stats.misses += 1;
                     traffic += 2;
-                    if self.directory.is_dirty(block) {
-                        // Retrieve the dirty copy from its owner first.
-                        self.stats.writebacks += 1;
+                    if was_dirty {
+                        stats.writebacks += 1;
                         traffic += 2;
                     }
-                    let victims = self.directory.make_exclusive(block, proc);
-                    traffic += self.invalidate_all(block, &victims);
-                    invalidations += victims.len() as u64;
-                    let evicted = self.caches[proc].fill(block, LineState::Dirty);
-                    traffic += self.handle_eviction(proc, evicted);
-                }
-            }
-            // Figure 1: invalidation count per write to a previously clean
-            // block (a block nobody held dirty).
-            if was_clean_globally && !was_dirty_here {
-                self.stats.clean_write_invalidations.record(invalidations);
-            }
-        } else {
-            match resident {
-                Some(_) => {
-                    // Read hit: no traffic.
-                }
-                None => {
-                    self.stats.misses += 1;
-                    traffic += 2;
-                    if self.directory.is_dirty(block) {
-                        // Downgrade the dirty owner: it writes back and
-                        // keeps a shared copy.
-                        let owner = self.directory.sharers(block).first().copied();
-                        if let Some(owner) = owner {
-                            self.caches[owner].set_state(block, LineState::Shared);
-                        }
-                        self.stats.writebacks += 1;
+                    // The displaced block, if modified, is written back.
+                    if is_dirty(own) {
+                        stats.writebacks += 1;
                         traffic += 2;
                     }
-                    if let Some(victim) = self.directory.add_sharer(block, proc) {
-                        // Pointer overflow: one existing copy is evicted.
-                        self.caches[victim].invalidate(block);
-                        self.stats.invalidation_messages += 1;
+                }
+                row[proc] = clean | 1;
+                // Figure 1: invalidation count per write to a previously
+                // clean block (a block nobody held dirty).
+                if !was_dirty {
+                    stats.clean_write_invalidations.record(invalidations);
+                }
+            }
+            // A write hit on an exclusive copy is silent.
+        } else if !holds(own, clean) {
+            stats.misses += 1;
+            traffic += 2;
+            let mut copies = 0;
+            for slot in row.iter_mut().filter(|slot| holds(**slot, clean)) {
+                copies += 1;
+                if is_dirty(*slot) {
+                    // Downgrade the dirty owner: it writes back and keeps
+                    // a shared copy.
+                    *slot = clean;
+                    stats.writebacks += 1;
+                    traffic += 2;
+                }
+            }
+            if let Some(stamps) = self.stamps.get_mut(start..start + self.procs) {
+                if copies >= self.pointers {
+                    // Pointer overflow: the oldest pointer's copy is
+                    // evicted.
+                    let oldest = stamps
+                        .iter()
+                        .zip(row.iter_mut())
+                        .filter(|(_, slot)| holds(**slot, clean))
+                        .min_by_key(|(stamp, _)| **stamp);
+                    if let Some((_, slot)) = oldest {
+                        *slot = EMPTY;
+                        stats.invalidation_messages += 1;
                         traffic += 1;
                         invalidations += 1;
                     }
-                    let evicted = self.caches[proc].fill(block, LineState::Shared);
-                    traffic += self.handle_eviction(proc, evicted);
                 }
+                stamps[proc] = self.next_stamp;
+                self.next_stamp += 1;
             }
+            // The displaced block, if modified, is written back.
+            if is_dirty(own) {
+                stats.writebacks += 1;
+                traffic += 2;
+            }
+            row[proc] = clean;
         }
+        // A read hit costs nothing.
 
-        self.stats.traffic_total += traffic;
+        stats.traffic_total += traffic;
         if kind.is_sync() {
-            self.stats.traffic_sync += traffic;
+            stats.traffic_sync += traffic;
         }
         if invalidations > 0 {
-            self.stats.record_invalidating_ref(kind);
+            stats.record_invalidating_ref(kind);
         }
     }
 }
@@ -411,5 +415,35 @@ mod tests {
         let t = s.stats().traffic_total;
         s.access(1, 0x200, true, RefKind::Shared);
         assert_eq!(s.stats().traffic_total, t);
+    }
+
+    #[test]
+    fn byte_blocks_cover_block_zero_and_the_top_address() {
+        // With 1-byte blocks the block number is the whole address. An
+        // empty cache must not look like it holds block 0, and u64::MAX
+        // must be cacheable like any other address.
+        let mut s = DirectorySystem::new(
+            2,
+            CacheGeometry::new(1024, 1),
+            PointerLimit::Full,
+            SyncCaching::Cached,
+        );
+        for addr in [0, u64::MAX] {
+            let misses = s.stats().misses;
+            s.access(0, addr, false, RefKind::Shared);
+            s.access(0, addr, false, RefKind::Shared);
+            assert_eq!(s.stats().misses, misses + 1, "addr {addr:#x}");
+        }
+        // Processor 1 reads the top byte; processor 0's write invalidates it.
+        s.access(1, u64::MAX, false, RefKind::Shared);
+        s.access(0, u64::MAX, true, RefKind::Shared);
+        assert_eq!(s.stats().invalidation_messages, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_processor_panics() {
+        let mut s = tiny(PointerLimit::Full, SyncCaching::Cached);
+        s.access(4, 0x100, false, RefKind::Shared);
     }
 }
