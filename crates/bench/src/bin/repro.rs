@@ -73,7 +73,7 @@ fn main() -> ExitCode {
             eprintln!("{message}\n\n{}", cli::help());
             ExitCode::FAILURE
         }
-        Parsed::Lint { json, diff } => lint(json, diff),
+        Parsed::Lint { json } => lint(json),
         Parsed::Analyze { file, json } => analyze(&file, json),
         Parsed::Sentinel {
             baseline,
@@ -210,11 +210,9 @@ fn sentinel(
     }
 }
 
-/// `repro lint [--json] [--diff]`: the abs-lint pass over this workspace.
-/// Exit code mirrors the standalone binary: 0 clean, 1 findings. With
-/// `--diff` the gate is differential instead — 0 iff no finding is NEW
-/// relative to `repro_out/baselines/lint_report.json`.
-fn lint(json: bool, diff: bool) -> ExitCode {
+/// `repro lint [--json]`: the abs-lint pass over this workspace. Exits 0
+/// when clean, 1 on any finding.
+fn lint(json: bool) -> ExitCode {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = match abs_lint::lint_workspace(&root) {
         Ok(report) => report,
@@ -232,22 +230,6 @@ fn lint(json: bool, diff: bool) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if diff {
-        return match abs_lint::diff::diff_against_baseline(&root, &report) {
-            Ok(result) => {
-                print!("{}", result.to_text());
-                if result.is_clean() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(message) => {
-                eprintln!("repro lint --diff: {message}");
-                ExitCode::FAILURE
-            }
-        };
     }
     if report.is_clean() {
         ExitCode::SUCCESS

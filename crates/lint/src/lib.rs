@@ -15,6 +15,14 @@
 //!   `.expect(…)` without a written-down invariant ([`rules`]).
 //! * **unsafe-audit** — every `unsafe` carries a `SAFETY:` comment
 //!   ([`rules`]).
+//! * **arith** — no truncating casts or unchecked `+`/`*` on the
+//!   accounting counters the exhibits are built from ([`sem`]).
+//! * **contract-xref** — every simulator with a `run_with` is named by a
+//!   kernel-equivalence test ([`sem`]).
+//! * **allow-grammar** / **stale-allow** — every escape hatch is
+//!   well-formed, justified, and still suppresses something.
+//!
+//! Every rule is an error: any finding fails the run.
 //!
 //! Scanning is built on a hand-rolled, lossless Rust [`tokenizer`] that is
 //! comment-, string-, raw-string- and char-literal-aware, so a forbidden
@@ -24,8 +32,8 @@
 //! as `file:line` text diagnostics and as a JSON document written to
 //! `repro_out/lint_report.json` ([`report`]).
 //!
-//! Run it as `cargo run -p abs-lint` (add `--json` for the report file),
-//! or as `repro lint` from the bench harness.
+//! Run it as `repro lint` from the bench harness (add `--json` for the
+//! report file).
 //!
 //! # Examples
 //!
@@ -41,8 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
-pub mod diff;
 pub mod manifest;
 pub mod parser;
 pub mod report;
@@ -66,8 +72,7 @@ pub fn default_root() -> PathBuf {
 /// Runs every rule over the workspace rooted at `root`.
 ///
 /// Two-phase: first every source is tokenized, parsed, and scanned raw
-/// (token rules + semantic rules over the AST, with panic-deep severities
-/// elevated along the [`callgraph`] hot closure); then allow directives
+/// (token rules + semantic rules over the AST); then allow directives
 /// are applied uniformly, and any directive that suppressed *nothing* in
 /// the raw set becomes a [`Rule::StaleAllow`] finding — the escape
 /// hatches can never outlive the findings they justify.
@@ -83,7 +88,9 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         let (f, a) = rules::scan_source_raw(&entry.rel, &text, entry.policy);
         findings.extend(f);
         allows.extend(a);
-        parsed.push(sem::ParsedFile::parse(&entry.rel, &text, entry.policy));
+        let pf = sem::ParsedFile::parse(&entry.rel, &text, entry.policy);
+        findings.extend(sem::scan_file(&pf));
+        parsed.push(pf);
     }
     for (path, rel) in &ws.manifests {
         let text = std::fs::read_to_string(path)
@@ -93,10 +100,6 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
         allows.extend(a);
     }
 
-    let graph = callgraph::CallGraph::build(&parsed);
-    for (i, pf) in parsed.iter().enumerate() {
-        findings.extend(sem::scan_file(pf, &graph.hot_fns_of(i)));
-    }
     findings.extend(sem::contract_xref(&parsed));
 
     // Uniform suppression over the merged raw set, then staleness: a
@@ -142,21 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn this_workspace_is_clean() {
-        // The acceptance gate: the tree the lint ships in passes its own
-        // pass. Every historical finding was either fixed or explicitly
-        // allowlisted with a justification.
-        let report = lint_workspace(&default_root()).expect("lint runs");
-        assert!(
-            report.is_clean(),
-            "the workspace must lint clean:\n{}",
-            report.to_text()
-        );
-        assert!(report.files_scanned >= 80, "{}", report.files_scanned);
-        assert!(report.manifests_scanned >= 11, "{}", report.manifests_scanned);
-    }
-
-    #[test]
     fn every_allow_carries_a_justification() {
         let report = lint_workspace(&default_root()).expect("lint runs");
         for allow in &report.allows {
@@ -167,28 +155,5 @@ mod tests {
                 allow.line
             );
         }
-    }
-
-    #[test]
-    fn seeded_violation_is_caught() {
-        // Simulate reintroducing a HashMap into crates/coherence: scan the
-        // real directory.rs source with one poisoned line appended under
-        // the crate's real policy.
-        let root = default_root();
-        let path = root.join("crates/coherence/src/directory.rs");
-        let mut text = std::fs::read_to_string(path).expect("directory.rs exists");
-        let line_count = text.lines().count() as u32;
-        text.push_str("use std::collections::HashMap;\n");
-        let (findings, _) = rules::scan_source(
-            "crates/coherence/src/directory.rs",
-            &text,
-            SourcePolicy::sim_crate(),
-        );
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == Rule::Determinism && f.line == line_count + 1),
-            "{findings:?}"
-        );
     }
 }

@@ -1,11 +1,10 @@
 //! A lenient recursive-descent parser over the lossless token stream.
 //!
-//! The semantic rules ([`crate::sem`]) need more than tokens: *which fn a
-//! token is in* (call-graph reachability), *whether an expression sits in a
-//! conditionally-skipped or loop context* (determinism dataflow), and
-//! *which impl defines which method* (contract cross-reference). This
-//! parser recovers exactly that much structure — items, fns, impls, and a
-//! structural expression tree — and deliberately no more: operator
+//! The semantic rules ([`crate::sem`]) need more than tokens: *which fn
+//! body and which test scope a token is in* (arith) and *which impl
+//! defines which method* (contract cross-reference). This parser recovers
+//! exactly that much structure — items, fns, impls, and a tree of
+//! delimiter groups — and deliberately no more: control flow, operator
 //! precedence, patterns, and types stay flat token runs.
 //!
 //! Two invariants make the output trustworthy without a full grammar:
@@ -17,7 +16,7 @@
 //!   the whole file). `validate_tiling` checks this and the `forall!`
 //!   property in `tests/parser_props.rs` fuzzes it; the parse → print →
 //!   reparse round trip must also yield an identical tree.
-//! * **Leniency.** Unknown constructs become [`ItemKind::Verbatim`] /
+//! * **Leniency.** Unknown constructs become [`ItemKind::Other`] /
 //!   leaf runs instead of errors, so the lint can still scan a file that
 //!   `rustc` would reject — the same contract the tokenizer keeps.
 //!
@@ -35,13 +34,6 @@ pub struct Span {
     pub lo: usize,
     /// One past the last token index covered.
     pub hi: usize,
-}
-
-impl Span {
-    /// Whether the span covers token index `at`.
-    pub fn contains(&self, at: usize) -> bool {
-        self.lo <= at && at < self.hi
-    }
 }
 
 /// A parsed file: top-level items plus the trailing trivia run.
@@ -86,30 +78,9 @@ pub enum ItemKind {
     Mod(ModBlock),
     /// `trait Name { items }`.
     Trait(TraitBlock),
-    /// `struct Name ...`.
-    Struct(String),
-    /// `enum Name {...}`.
-    Enum(String),
-    /// `union Name {...}`.
-    Union(String),
-    /// `use ...;` / `extern crate ...;`.
-    Use,
-    /// `const NAME: ... = ...;`.
-    Const(String),
-    /// `static NAME: ... = ...;`.
-    Static(String),
-    /// `type Name = ...;`.
-    TypeAlias(String),
-    /// `macro_rules! name {...}`.
-    MacroRules(String),
-    /// An item-position macro invocation `name!(...)` / `name!{...}`.
-    MacroCall(String),
-    /// `extern "C" { ... }`.
-    ForeignMod,
-    /// A file- or module-level inner attribute `#![...]`.
-    InnerAttr,
-    /// Anything unrecognized, consumed to a safe boundary.
-    Verbatim,
+    /// Any other item (`struct`, `use`, `const`, macros, inner
+    /// attributes, unrecognized input), consumed to its boundary.
+    Other,
 }
 
 /// A function item.
@@ -127,8 +98,6 @@ pub struct ImplBlock {
     /// Last angle-depth-0 identifier of the self type (`Foo` in
     /// `impl<T> Foo<T>`).
     pub self_ty: String,
-    /// Last angle-depth-0 identifier of the implemented trait, if any.
-    pub of_trait: Option<String>,
     /// Associated items.
     pub items: Vec<Item>,
     /// Trivia between the last associated item and the closing brace.
@@ -138,8 +107,6 @@ pub struct ImplBlock {
 /// A `mod` block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModBlock {
-    /// The module's name.
-    pub name: String,
     /// Inline items (`None` for `mod name;`).
     pub items: Option<Vec<Item>>,
     /// Trivia before the closing brace (empty span for `mod name;`).
@@ -149,8 +116,6 @@ pub struct ModBlock {
 /// A `trait` block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraitBlock {
-    /// The trait's name.
-    pub name: String,
     /// Associated items (default methods keep their bodies).
     pub items: Vec<Item>,
     /// Trivia before the closing brace.
@@ -166,21 +131,6 @@ pub enum Delim {
     Bracket,
     /// `{ ... }`
     Brace,
-}
-
-/// Control-flow keyword of a [`NodeKind::Ctrl`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CtrlKw {
-    /// `if head { body } [else ...]` — body and chain are conditional.
-    If,
-    /// `match head { body }` — body is conditional.
-    Match,
-    /// `for pat in head { body }` — body is a loop body.
-    For,
-    /// `while head { body }` — body is both loop and conditional.
-    While,
-    /// `loop { body }` — body is a loop body.
-    Loop,
 }
 
 /// One node of the structural expression tree.
@@ -206,27 +156,6 @@ pub enum NodeKind {
         /// Trivia between the last child and the closing delimiter.
         trailing: Span,
     },
-    /// A control-flow construct.
-    Ctrl {
-        /// The introducing keyword.
-        kw: CtrlKw,
-        /// Nodes between the keyword and the body brace (condition,
-        /// iterator expression, scrutinee).
-        head: Vec<Node>,
-        /// The body group (`None` only on malformed input).
-        body: Option<Box<Node>>,
-        /// `else` continuation of an `if`: the `else` leaf followed by a
-        /// block group or a chained `if` ctrl.
-        chain: Vec<Node>,
-    },
-}
-
-impl Node {
-    /// The code token index of a leaf (`span.hi - 1`).
-    pub fn leaf_code(&self) -> usize {
-        debug_assert!(matches!(self.kind, NodeKind::Leaf));
-        self.span.hi - 1
-    }
 }
 
 /// Parses tokenized source. The token slice must be the full file (the
@@ -346,35 +275,6 @@ fn validate_node(node: &Node) -> Result<(), String> {
             }
             if trailing.lo != at {
                 return Err(format!("group trailing gap at {at}"));
-            }
-            Ok(())
-        }
-        NodeKind::Ctrl {
-            head, body, chain, ..
-        } => {
-            let mut at = node
-                .span
-                .lo;
-            // Keyword leaf is implicit: the first head node (or body)
-            // starts after it; just check contiguity of the listed parts.
-            let mut parts: Vec<&Node> = head.iter().collect();
-            if let Some(b) = body {
-                parts.push(b);
-            }
-            parts.extend(chain.iter());
-            for (i, part) in parts.iter().enumerate() {
-                if i == 0 {
-                    if part.span.lo < at {
-                        return Err("ctrl part precedes keyword".to_string());
-                    }
-                } else if part.span.lo != at {
-                    return Err(format!("ctrl gap: expected {at}, got {}", part.span.lo));
-                }
-                validate_node(part)?;
-                at = part.span.hi;
-            }
-            if at != node.span.hi && !parts.is_empty() {
-                return Err(format!("ctrl end {at} != span hi {}", node.span.hi));
             }
             Ok(())
         }
@@ -507,7 +407,7 @@ impl<'a> Parser<'a> {
                     hi: self.pos,
                 },
                 attrs,
-                kind: ItemKind::InnerAttr,
+                kind: ItemKind::Other,
             };
         }
 
@@ -544,9 +444,8 @@ impl<'a> Parser<'a> {
                 saw_extern = text == "extern";
                 // `extern crate` is a use-like item, not a modifier.
                 if saw_extern && self.peek_code_text(0) == "crate" {
-                    let kind = self.consume_to_semi();
-                    let _ = kind;
-                    return self.finish(lo, attrs, ItemKind::Use);
+                    self.consume_to_semi();
+                    return self.finish(lo, attrs, ItemKind::Other);
                 }
                 self.bump();
                 self.skip_trivia();
@@ -567,7 +466,7 @@ impl<'a> Parser<'a> {
         // `extern "C" { ... }` foreign module (extern already consumed).
         if saw_extern && self.cur_text() == "{" {
             self.consume_balanced();
-            return self.finish(lo, attrs, ItemKind::ForeignMod);
+            return self.finish(lo, attrs, ItemKind::Other);
         }
 
         let kind = match (self.cur_kind(), self.cur_text()) {
@@ -578,40 +477,10 @@ impl<'a> Parser<'a> {
             (Some(TokKind::Ident), "impl") => ItemKind::Impl(self.impl_block()),
             (Some(TokKind::Ident), "mod") => ItemKind::Mod(self.mod_block()),
             (Some(TokKind::Ident), "trait") => ItemKind::Trait(self.trait_block()),
-            (Some(TokKind::Ident), "struct") => {
-                let name = self.name_after_kw();
-                self.consume_to_semi_or_brace();
-                ItemKind::Struct(name)
-            }
-            (Some(TokKind::Ident), "enum") => {
-                let name = self.name_after_kw();
-                self.consume_to_semi_or_brace();
-                ItemKind::Enum(name)
-            }
-            (Some(TokKind::Ident), "union") => {
-                let name = self.name_after_kw();
-                self.consume_to_semi_or_brace();
-                ItemKind::Union(name)
-            }
-            (Some(TokKind::Ident), "use") => {
-                self.consume_to_semi();
-                ItemKind::Use
-            }
-            (Some(TokKind::Ident), "const") | (Some(TokKind::Ident), "static") => {
+            (Some(TokKind::Ident), "use" | "const" | "static" | "type") => {
                 // (Unreached for `const fn`: the modifier loop ate it.)
-                let is_const = self.cur_text() == "const";
-                let name = self.name_after_kw();
                 self.consume_to_semi();
-                if is_const {
-                    ItemKind::Const(name)
-                } else {
-                    ItemKind::Static(name)
-                }
-            }
-            (Some(TokKind::Ident), "type") => {
-                let name = self.name_after_kw();
-                self.consume_to_semi();
-                ItemKind::TypeAlias(name)
+                ItemKind::Other
             }
             (Some(TokKind::Ident), "macro_rules") => {
                 self.bump(); // macro_rules
@@ -620,26 +489,22 @@ impl<'a> Parser<'a> {
                     self.bump();
                     self.skip_trivia();
                 }
-                let name = if self.cur_kind() == Some(TokKind::Ident) {
-                    let n = self.cur_text().to_string();
-                    self.bump();
-                    n
-                } else {
-                    String::new()
-                };
-                self.skip_trivia();
+                if self.cur_kind() == Some(TokKind::Ident) {
+                    self.bump(); // the macro's name
+                    self.skip_trivia();
+                }
                 self.consume_balanced();
-                ItemKind::MacroRules(name)
+                ItemKind::Other
             }
-            (Some(TokKind::Ident), name) if self.is_macro_call_at() => {
-                let name = name.to_string();
+            (Some(TokKind::Ident), _) if self.is_macro_call_at() => {
                 self.consume_macro_call();
-                ItemKind::MacroCall(name)
+                ItemKind::Other
             }
-            (None, _) => ItemKind::Verbatim, // attrs/modifiers at EOF
+            (None, _) => ItemKind::Other, // attrs/modifiers at EOF
             _ => {
+                // `struct`, `enum`, `union` and anything unrecognized.
                 self.consume_to_semi_or_brace();
-                ItemKind::Verbatim
+                ItemKind::Other
             }
         };
         self.finish(lo, attrs, kind)
@@ -845,8 +710,8 @@ impl<'a> Parser<'a> {
             sig.push((angle, text));
             self.bump();
         }
-        // Split at a depth-0 `for`; names are the last depth-0 idents of
-        // each side. (`impl Trait for Type`, `impl Type`.)
+        // The self type is the last depth-0 ident after a depth-0 `for`
+        // (`impl Trait for Type`), or of the whole signature (`impl Type`).
         let for_at = sig
             .iter()
             .position(|(depth, text)| *depth == 0 && text == "for");
@@ -865,14 +730,10 @@ impl<'a> Parser<'a> {
                 .map(|(_, text)| text.clone())
                 .unwrap_or_default()
         };
-        let (of_trait, self_ty) = match for_at {
-            Some(at) => (Some(last_ident(&sig[..at])), last_ident(&sig[at + 1..])),
-            None => (None, last_ident(&sig)),
-        };
+        let self_ty = last_ident(&sig[for_at.map_or(0, |at| at + 1)..]);
         let (items, trailing) = self.item_body();
         ImplBlock {
             self_ty,
-            of_trait,
             items,
             trailing,
         }
@@ -880,12 +741,11 @@ impl<'a> Parser<'a> {
 
     /// `mod name { items }` or `mod name ;` (cursor on `mod`).
     fn mod_block(&mut self) -> ModBlock {
-        let name = self.name_after_kw();
+        self.name_after_kw();
         self.skip_trivia();
         if self.cur_text() == ";" {
             self.bump();
             return ModBlock {
-                name,
                 items: None,
                 trailing: Span {
                     lo: self.pos,
@@ -895,7 +755,6 @@ impl<'a> Parser<'a> {
         }
         let (items, trailing) = self.item_body();
         ModBlock {
-            name,
             items: Some(items),
             trailing,
         }
@@ -903,7 +762,7 @@ impl<'a> Parser<'a> {
 
     /// `trait Name ... { items }` (cursor on `trait`).
     fn trait_block(&mut self) -> TraitBlock {
-        let name = self.name_after_kw();
+        self.name_after_kw();
         // Bounds / where clause up to the body.
         loop {
             self.skip_trivia();
@@ -914,7 +773,6 @@ impl<'a> Parser<'a> {
                 // `trait Alias = ...;` — no body.
                 self.bump();
                 return TraitBlock {
-                    name,
                     items: Vec::new(),
                     trailing: Span {
                         lo: self.pos,
@@ -929,11 +787,7 @@ impl<'a> Parser<'a> {
             }
         }
         let (items, trailing) = self.item_body();
-        TraitBlock {
-            name,
-            items,
-            trailing,
-        }
+        TraitBlock { items, trailing }
     }
 
     /// A `{ items }` container body (cursor at `{` or EOF). Returns the
@@ -1042,17 +896,12 @@ impl<'a> Parser<'a> {
                 kind: NodeKind::Leaf,
             };
         }
-        match (self.cur_kind(), self.cur_text()) {
-            (_, "(") | (_, "[") | (_, "{") => {
+        match self.cur_text() {
+            "(" | "[" | "{" => {
                 let mut group = self.group();
                 group.span.lo = lo;
                 group
             }
-            (Some(TokKind::Ident), "if") => self.ctrl(lo, CtrlKw::If),
-            (Some(TokKind::Ident), "match") => self.ctrl(lo, CtrlKw::Match),
-            (Some(TokKind::Ident), "for") => self.ctrl(lo, CtrlKw::For),
-            (Some(TokKind::Ident), "while") => self.ctrl(lo, CtrlKw::While),
-            (Some(TokKind::Ident), "loop") => self.ctrl(lo, CtrlKw::Loop),
             _ => {
                 self.bump();
                 Node {
@@ -1060,102 +909,6 @@ impl<'a> Parser<'a> {
                     kind: NodeKind::Leaf,
                 }
             }
-        }
-    }
-
-    /// Whether the code token at index `at` is a *plain* `=` (assignment
-    /// or `let` binding), not part of `==`, `=>`, `<=`, `>=`, `!=`, `+=`…
-    fn is_plain_eq(&self, at: usize) -> bool {
-        if self.tokens[at].text != "=" {
-            return false;
-        }
-        let prev = self.tokens[..at]
-            .iter()
-            .rev()
-            .find(|t| t.is_code())
-            .map(|t| t.text.as_str());
-        let next = self.tokens[at + 1..]
-            .iter()
-            .find(|t| t.is_code())
-            .map(|t| t.text.as_str());
-        let op_chars = ["=", "<", ">", "!", "+", "-", "*", "/", "%", "^", "&", "|"];
-        if prev.is_some_and(|p| op_chars.contains(&p)) {
-            return false;
-        }
-        if next.is_some_and(|n| n == "=" || n == ">") {
-            return false;
-        }
-        true
-    }
-
-    /// Parses `kw head { body } [else ...]`. The cursor sits on the
-    /// keyword; `lo` covers its leading trivia.
-    fn ctrl(&mut self, lo: usize, kw: CtrlKw) -> Node {
-        self.bump(); // keyword
-        // `if let PAT = ...` / `while let PAT = ...`: a struct pattern may
-        // legally carry braces before the `=`; only a brace group after
-        // the `=` (or in a plain condition) is the body.
-        self.skip_trivia();
-        let is_let = matches!(kw, CtrlKw::If | CtrlKw::While) && self.cur_text() == "let";
-        let mut seen_eq = !is_let;
-        let mut head = Vec::new();
-        let mut body = None;
-        loop {
-            let mark = self.pos;
-            self.skip_trivia();
-            if self.at_end() {
-                self.pos = mark;
-                break;
-            }
-            if self.cur_text() == "{" && seen_eq {
-                self.pos = mark;
-                body = Some(Box::new(self.node()));
-                break;
-            }
-            // A closing delimiter means the construct is malformed (e.g.
-            // `match x` as a whole match arm value); stop without a body.
-            if matches!(self.cur_text(), "}" | ")" | "]" | ";" | ",") {
-                self.pos = mark;
-                break;
-            }
-            if !seen_eq && self.is_plain_eq(self.pos) {
-                seen_eq = true;
-            }
-            self.pos = mark;
-            head.push(self.node());
-        }
-        let mut chain = Vec::new();
-        if kw == CtrlKw::If && body.is_some() {
-            let mark = self.pos;
-            self.skip_trivia();
-            if !self.at_end() && self.cur_text() == "else" {
-                let else_lo = mark;
-                self.bump();
-                chain.push(Node {
-                    span: Span {
-                        lo: else_lo,
-                        hi: self.pos,
-                    },
-                    kind: NodeKind::Leaf,
-                });
-                let mark2 = self.pos;
-                self.skip_trivia();
-                if !self.at_end() && (self.cur_text() == "{" || self.cur_text() == "if") {
-                    self.pos = mark2;
-                    chain.push(self.node());
-                }
-            } else {
-                self.pos = mark;
-            }
-        }
-        Node {
-            span: Span { lo, hi: self.pos },
-            kind: NodeKind::Ctrl {
-                kw,
-                head,
-                body,
-                chain,
-            },
         }
     }
 }
@@ -1185,7 +938,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_items_with_names() {
+    fn parses_item_boundaries() {
         let src = r#"
             //! doc
             use std::fmt;
@@ -1201,24 +954,17 @@ mod tests {
         "#;
         let ast = roundtrip(src);
         let kinds: Vec<&ItemKind> = ast.items.iter().map(|i| &i.kind).collect();
-        assert!(matches!(kinds[0], ItemKind::Use));
-        assert!(matches!(kinds[1], ItemKind::Struct(n) if n == "Foo"));
-        assert!(matches!(kinds[2], ItemKind::Enum(n) if n == "Bar"));
-        assert!(matches!(kinds[3], ItemKind::Const(n) if n == "LIMIT"));
-        assert!(matches!(kinds[4], ItemKind::Static(n) if n == "NAME"));
-        assert!(matches!(kinds[5], ItemKind::TypeAlias(n) if n == "Alias"));
+        assert_eq!(kinds.len(), 8);
+        assert!(kinds[..6].iter().all(|k| matches!(k, ItemKind::Other)));
         assert!(matches!(kinds[6], ItemKind::Fn(f) if f.name == "top"));
         match &kinds[7] {
-            ItemKind::Mod(m) => {
-                assert_eq!(m.name, "inner");
-                assert_eq!(fn_names(m.items.as_ref().unwrap()), ["nested"]);
-            }
+            ItemKind::Mod(m) => assert_eq!(fn_names(m.items.as_ref().unwrap()), ["nested"]),
             other => panic!("expected mod, got {other:?}"),
         }
     }
 
     #[test]
-    fn impl_blocks_resolve_self_type_and_trait() {
+    fn impl_blocks_resolve_self_type() {
         let src = "
             impl<T: Clone> Foo<T> { fn a(&self) {} fn b() {} }
             impl fmt::Display for Foo<u32> { fn fmt(&self) {} }
@@ -1235,15 +981,13 @@ mod tests {
             .collect();
         assert_eq!(impls.len(), 3);
         assert_eq!(impls[0].self_ty, "Foo");
-        assert_eq!(impls[0].of_trait, None);
         assert_eq!(fn_names(&impls[0].items), ["a", "b"]);
         assert_eq!(impls[1].self_ty, "Foo");
-        assert_eq!(impls[1].of_trait.as_deref(), Some("Display"));
         assert_eq!(impls[2].self_ty, "Kernel");
     }
 
     #[test]
-    fn fn_bodies_become_structural_trees() {
+    fn control_flow_stays_flat() {
         let src = "fn f(n: usize) { if n > 0 { g(n); } else { h(); } for i in 0..n { q(i); } }";
         let ast = roundtrip(src);
         let ItemKind::Fn(f) = &ast.items[0].kind else {
@@ -1253,70 +997,24 @@ mod tests {
         let NodeKind::Group { children, .. } = &body.kind else {
             panic!()
         };
-        let ctrls: Vec<CtrlKw> = children
+        // `if` head, body, `else`, body, `for` head, body: keywords and
+        // heads are leaves, every block is a sibling brace group.
+        let braces = children
             .iter()
-            .filter_map(|n| match &n.kind {
-                NodeKind::Ctrl { kw, .. } => Some(*kw),
-                _ => None,
+            .filter(|n| {
+                matches!(
+                    n.kind,
+                    NodeKind::Group {
+                        delim: Delim::Brace,
+                        ..
+                    }
+                )
             })
-            .collect();
-        assert_eq!(ctrls, [CtrlKw::If, CtrlKw::For]);
-        // The if has a body and an else chain.
-        let NodeKind::Ctrl { body, chain, .. } = &children
-            .iter()
-            .find_map(|n| match &n.kind {
-                NodeKind::Ctrl { kw: CtrlKw::If, .. } => Some(&n.kind),
-                _ => None,
-            })
-            .unwrap()
-        else {
-            panic!()
-        };
-        assert!(body.is_some());
-        assert_eq!(chain.len(), 2); // `else` leaf + block
-    }
-
-    #[test]
-    fn if_let_struct_pattern_does_not_steal_the_body() {
-        let src = "fn f() { if let Point { x, y } = p { use_it(x, y); } }";
-        let ast = roundtrip(src);
-        let ItemKind::Fn(f) = &ast.items[0].kind else {
-            panic!()
-        };
-        let NodeKind::Group { children, .. } = &f.body.as_ref().unwrap().kind else {
-            panic!()
-        };
-        let NodeKind::Ctrl { head, body, .. } = &children[0].kind else {
-            panic!("expected if ctrl, got {:?}", children[0].kind)
-        };
-        // The pattern's brace group stays in the head; the body is the
-        // trailing block containing the call.
-        assert!(head
-            .iter()
-            .any(|n| matches!(&n.kind, NodeKind::Group { delim: Delim::Brace, .. })));
-        let body = body.as_ref().unwrap();
-        let body_text = print_span(&tokenize(src), body.span);
-        assert!(body_text.contains("use_it"), "{body_text}");
-    }
-
-    #[test]
-    fn match_and_while_and_loop() {
-        let src = "fn f(x: u8) { match x { 0 => a(), _ => b(), } while x > 0 { c(); } loop { break; } }";
-        let ast = roundtrip(src);
-        let ItemKind::Fn(f) = &ast.items[0].kind else {
-            panic!()
-        };
-        let NodeKind::Group { children, .. } = &f.body.as_ref().unwrap().kind else {
-            panic!()
-        };
-        let kws: Vec<CtrlKw> = children
-            .iter()
-            .filter_map(|n| match &n.kind {
-                NodeKind::Ctrl { kw, .. } => Some(*kw),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(kws, [CtrlKw::Match, CtrlKw::While, CtrlKw::Loop]);
+            .count();
+        assert_eq!(braces, 3);
+        let text = |n: &Node| print_span(&tokenize(src), n.span).trim().to_string();
+        assert_eq!(text(&children[0]), "if");
+        assert!(children.iter().any(|n| text(n) == "else"));
     }
 
     #[test]
@@ -1326,7 +1024,6 @@ mod tests {
         let ItemKind::Trait(t) = &ast.items[0].kind else {
             panic!()
         };
-        assert_eq!(t.name, "T");
         let fns: Vec<(&str, bool)> = t
             .items
             .iter()
@@ -1351,7 +1048,7 @@ mod tests {
     fn inner_attributes_are_their_own_items() {
         let src = "#![forbid(unsafe_code)]\nfn f() {}\n";
         let ast = roundtrip(src);
-        assert!(matches!(ast.items[0].kind, ItemKind::InnerAttr));
+        assert!(matches!(ast.items[0].kind, ItemKind::Other));
         assert!(matches!(&ast.items[1].kind, ItemKind::Fn(f) if f.name == "f"));
     }
 
@@ -1359,9 +1056,8 @@ mod tests {
     fn macro_items_and_foreign_mods() {
         let src = "macro_rules! m { () => {}; }\nthread_local! { static X: u8 = 0; }\nextern \"C\" { fn c(); }\n";
         let ast = roundtrip(src);
-        assert!(matches!(&ast.items[0].kind, ItemKind::MacroRules(n) if n == "m"));
-        assert!(matches!(&ast.items[1].kind, ItemKind::MacroCall(n) if n == "thread_local"));
-        assert!(matches!(ast.items[2].kind, ItemKind::ForeignMod));
+        assert_eq!(ast.items.len(), 3);
+        assert!(ast.items.iter().all(|i| matches!(i.kind, ItemKind::Other)));
     }
 
     #[test]
@@ -1385,7 +1081,7 @@ mod tests {
     fn const_with_semicolons_in_brackets() {
         let src = "const X: [u8; 3] = [0; 3]; fn after() {}";
         let ast = roundtrip(src);
-        assert!(matches!(&ast.items[0].kind, ItemKind::Const(n) if n == "X"));
+        assert!(matches!(ast.items[0].kind, ItemKind::Other));
         assert!(matches!(&ast.items[1].kind, ItemKind::Fn(f) if f.name == "after"));
     }
 }

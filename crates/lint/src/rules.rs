@@ -47,12 +47,6 @@ pub enum Rule {
     /// Truncating casts / unchecked `+`·`*` on accounting state
     /// ([`crate::sem`]).
     Arith,
-    /// RNG draws in conditional contexts, unstable sorts, float→int
-    /// arithmetic feeding sim state ([`crate::sem`]).
-    DeterminismFlow,
-    /// Slice indexing, non-literal division, `unreachable!` — elevated
-    /// when reachable from kernel hot loops ([`crate::sem`]).
-    PanicDeep,
     /// `run_with` types not named by any kernel-equivalence test
     /// ([`crate::sem`]).
     ContractXref,
@@ -65,14 +59,12 @@ impl Rule {
     /// The rules an `allow(…)` directive may name: everything except the
     /// grammar rule (which guards the directives themselves) and the
     /// staleness rule (allowing a stale allow would be self-defeating).
-    pub const ALLOWABLE: [Rule; 8] = [
+    pub const ALLOWABLE: [Rule; 6] = [
         Rule::Determinism,
         Rule::Hermeticity,
         Rule::PanicPath,
         Rule::UnsafeAudit,
         Rule::Arith,
-        Rule::DeterminismFlow,
-        Rule::PanicDeep,
         Rule::ContractXref,
     ];
 
@@ -85,8 +77,6 @@ impl Rule {
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::AllowGrammar => "allow-grammar",
             Rule::Arith => "arith",
-            Rule::DeterminismFlow => "determinism-flow",
-            Rule::PanicDeep => "panic-deep",
             Rule::ContractXref => "contract-xref",
             Rule::StaleAllow => "stale-allow",
         }
@@ -95,64 +85,6 @@ impl Rule {
     /// Parses a directive rule name.
     pub fn from_name(name: &str) -> Option<Rule> {
         Rule::ALLOWABLE.into_iter().find(|r| r.name() == name)
-    }
-
-    /// The severity a finding of this rule carries by default. `sem`
-    /// elevates panic-deep to [`Severity::Warn`] on hot-loop-reachable
-    /// paths.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            Rule::Determinism
-            | Rule::Hermeticity
-            | Rule::PanicPath
-            | Rule::UnsafeAudit
-            | Rule::AllowGrammar
-            | Rule::Arith
-            | Rule::ContractXref
-            | Rule::StaleAllow => Severity::Error,
-            Rule::DeterminismFlow => Severity::Warn,
-            Rule::PanicDeep => Severity::Info,
-        }
-    }
-}
-
-/// How strongly a finding gates.
-///
-/// Only [`Severity::Error`] findings make a tree unclean (nonzero exit);
-/// `Warn` and `Info` findings live in the committed baseline and gate
-/// *differentially* — `repro lint --diff` fails on any **new** finding of
-/// any severity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Recorded in the report; surfaced only when new.
-    Info,
-    /// Suspicious; surfaced in text output and gated when new.
-    Warn,
-    /// Violates a hard invariant; fails the run outright.
-    Error,
-}
-
-impl Severity {
-    /// The lowercase name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warn => "warn",
-            Severity::Error => "error",
-        }
-    }
-
-    /// Parses a report severity name.
-    pub fn from_name(name: &str) -> Option<Severity> {
-        [Severity::Info, Severity::Warn, Severity::Error]
-            .into_iter()
-            .find(|s| s.name() == name)
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -167,8 +99,6 @@ impl fmt::Display for Rule {
 pub struct Finding {
     /// The violated rule.
     pub rule: Rule,
-    /// How strongly the finding gates.
-    pub severity: Severity,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
@@ -178,11 +108,10 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// A finding at the rule's default severity.
+    /// A finding of `rule` at `file:line`.
     pub fn new(rule: Rule, file: impl Into<String>, line: u32, message: impl Into<String>) -> Self {
         Finding {
             rule,
-            severity: rule.default_severity(),
             file: file.into(),
             line,
             message: message.into(),
@@ -194,8 +123,8 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}:{}: {} [{}]: {}",
-            self.file, self.line, self.rule, self.severity, self.message
+            "{}:{}: {}: {}",
+            self.file, self.line, self.rule, self.message
         )
     }
 }
@@ -652,6 +581,8 @@ fn f() {
             ("// abs-lint: allow(warp-core) -- because\n", "unknown rule"),
             ("// abs-lint: deny(panic-path) -- because\n", "must be"),
             ("// abs-lint: allow() -- because\n", "unknown rule"),
+            ("// abs-lint: allow(panic-deep) -- because\n", "unknown rule"),
+            ("// abs-lint: allow(determinism-flow) -- because\n", "unknown rule"),
         ] {
             let f = sim_findings(src);
             assert_eq!(f.len(), 1, "{src:?} -> {f:?}");
@@ -709,6 +640,6 @@ fn f() {
     fn findings_render_as_file_line_rule() {
         let f = sim_findings("fn f() { x.unwrap(); }");
         let line = f[0].to_string();
-        assert!(line.starts_with("test.rs:1: panic-path [error]:"), "{line}");
+        assert!(line.starts_with("test.rs:1: panic-path:"), "{line}");
     }
 }

@@ -10,7 +10,9 @@
 //!
 //! Wall-clock reads are thereby allowed in `exec`/`bench` timing code (they
 //! are harness crates), and benches/examples may unwrap freely. Every
-//! `Cargo.toml` gets the hermeticity pass, and a crate-level `build.rs` is
+//! `Cargo.toml` gets the hermeticity pass — the root, every crate, and the
+//! out-of-workspace benchmark package's `ledger/Cargo.toml` (its manifest
+//! only; its sources are not linted) — and a crate-level `build.rs` is
 //! itself a hermeticity finding. Directories named `fixtures` are skipped:
 //! they hold deliberately-violating lint inputs. Traversal is sorted so
 //! reports are byte-stable across filesystems.
@@ -50,7 +52,8 @@ pub struct Workspace {
     pub root: PathBuf,
     /// Every `.rs` file with its policy, sorted by relative path.
     pub sources: Vec<SourceEntry>,
-    /// Every `Cargo.toml`, sorted (root first).
+    /// Every `Cargo.toml`: the root, then `crates/*` sorted, then the
+    /// benchmark package's `ledger/Cargo.toml`.
     pub manifests: Vec<(PathBuf, String)>,
     /// Findings produced during discovery itself (e.g. a `build.rs`).
     pub findings: Vec<Finding>,
@@ -104,6 +107,13 @@ impl Workspace {
             for dir in ["tests", "benches", "examples"] {
                 collect_rs(root, &crate_root.join(dir), SourcePolicy::test_code(), &mut sources)?;
             }
+        }
+
+        // The benchmark package has its own lockfile outside the workspace,
+        // so a registry dependency there would escape every other check.
+        let ledger = root.join("ledger/Cargo.toml");
+        if ledger.is_file() {
+            manifests.push((ledger, "ledger/Cargo.toml".to_string()));
         }
 
         sources.sort_by(|a, b| a.rel.cmp(&b.rel));
@@ -189,6 +199,10 @@ mod tests {
             .manifests
             .iter()
             .any(|(_, rel)| rel == "crates/lint/Cargo.toml"));
+        assert!(ws
+            .manifests
+            .iter()
+            .any(|(_, rel)| rel == "ledger/Cargo.toml"));
     }
 
     #[test]

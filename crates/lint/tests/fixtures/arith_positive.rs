@@ -29,3 +29,35 @@ impl Stats {
         self.busy_cycles * procs
     }
 }
+
+impl Stats {
+    /// One unchecked site in each control-flow position: `if` head and
+    /// body, `else if`, `else`, `for` body, `while` head and body, a
+    /// `match` arm, an `if let` body and a `loop` body.
+    pub fn in_control_flow(&mut self, n: u64, steps: &[u64], extra: Option<u64>) {
+        if self.accesses + n > 10 {
+            self.accesses += 1;
+        } else if n > 5 {
+            self.busy_cycles += n;
+        } else {
+            self.busy_cycles += 2;
+        }
+        for step in steps {
+            self.accesses += *step;
+        }
+        while self.busy_cycles * 2 < n {
+            self.busy_cycles += 1;
+        }
+        match n {
+            0 => self.accesses += 3,
+            _ => {}
+        }
+        if let Some(more) = extra {
+            self.busy_cycles += more;
+        }
+        loop {
+            self.accesses += 1;
+            break;
+        }
+    }
+}

@@ -11,9 +11,9 @@ use abs_sim::check::{self, Config};
 use abs_sim::forall;
 
 /// Item-level source fragments chosen to stress every parser production:
-/// modifier stacking, generic angle-bracket tracking, control-flow heads
+/// modifier stacking, generic angle-bracket tracking, control flow
 /// (including `if let` with struct patterns), macro items, and the
-/// lenient Verbatim fallback on deliberately broken input.
+/// lenient `Other` fallback on deliberately broken input.
 const FRAGMENTS: &[&str] = &[
     "fn f() {}\n",
     "pub fn g(a: u32, b: &str) -> u32 { a + b.len() as u32 }\n",

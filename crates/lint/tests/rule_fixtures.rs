@@ -6,15 +6,12 @@
 //! so a rule that goes blind *or* trigger-happy fails this suite before
 //! it ever gates CI.
 
-use std::collections::BTreeSet;
-
-use abs_lint::callgraph::CallGraph;
-use abs_lint::rules::{Rule, Severity, SourcePolicy};
+use abs_lint::rules::{Rule, SourcePolicy};
 use abs_lint::sem::{self, ParsedFile};
 
 fn scan(rel: &str, src: &str, policy: SourcePolicy) -> Vec<abs_lint::Finding> {
     let pf = ParsedFile::parse(rel, src, policy);
-    sem::scan_file(&pf, &BTreeSet::new())
+    sem::scan_file(&pf)
 }
 
 fn count(findings: &[abs_lint::Finding], rule: Rule) -> usize {
@@ -26,12 +23,8 @@ fn arith_positive_fixture_trips_every_site() {
     let src = include_str!("fixtures/arith_positive.rs");
     let findings = scan("fixtures/arith_positive.rs", src, SourcePolicy::sim_crate());
     // One truncating cast, two compound assignments, one binary `+`, one
-    // binary `*` — five sites, every one an error.
-    assert_eq!(count(&findings, Rule::Arith), 5, "{findings:?}");
-    assert!(findings
-        .iter()
-        .filter(|f| f.rule == Rule::Arith)
-        .all(|f| f.severity == Severity::Error));
+    // binary `*`, plus ten sites inside control flow — fifteen sites.
+    assert_eq!(count(&findings, Rule::Arith), 15, "{findings:?}");
 }
 
 #[test]
@@ -39,88 +32,6 @@ fn arith_negative_fixture_is_clean() {
     let src = include_str!("fixtures/arith_negative.rs");
     let findings = scan("fixtures/arith_negative.rs", src, SourcePolicy::sim_crate());
     assert_eq!(count(&findings, Rule::Arith), 0, "{findings:?}");
-}
-
-#[test]
-fn determinism_flow_positive_fixture_trips_every_site() {
-    let src = include_str!("fixtures/determinism_flow_positive.rs");
-    let findings = scan(
-        "fixtures/determinism_flow_positive.rs",
-        src,
-        SourcePolicy::sim_crate(),
-    );
-    // A conditional draw in an `if`, one under a match arm, one unstable
-    // sort, one float→int cast.
-    assert_eq!(count(&findings, Rule::DeterminismFlow), 4, "{findings:?}");
-}
-
-#[test]
-fn determinism_flow_negative_fixture_is_clean() {
-    let src = include_str!("fixtures/determinism_flow_negative.rs");
-    let findings = scan(
-        "fixtures/determinism_flow_negative.rs",
-        src,
-        SourcePolicy::sim_crate(),
-    );
-    assert_eq!(count(&findings, Rule::DeterminismFlow), 0, "{findings:?}");
-}
-
-#[test]
-fn determinism_flow_is_scoped_to_sim_crates() {
-    // The same violating source under the harness policy is exempt: float
-    // math and conditional draws are fine in bench/exec code.
-    let src = include_str!("fixtures/determinism_flow_positive.rs");
-    let findings = scan(
-        "fixtures/determinism_flow_positive.rs",
-        src,
-        SourcePolicy::harness_crate(),
-    );
-    assert_eq!(count(&findings, Rule::DeterminismFlow), 0, "{findings:?}");
-}
-
-#[test]
-fn panic_deep_positive_fixture_trips_every_site() {
-    let src = include_str!("fixtures/panic_deep_positive.rs");
-    let findings = scan(
-        "fixtures/panic_deep_positive.rs",
-        src,
-        SourcePolicy::sim_crate(),
-    );
-    // Non-literal index, non-literal division, `unreachable!` — and with
-    // no hot set, all stay informational.
-    assert_eq!(count(&findings, Rule::PanicDeep), 3, "{findings:?}");
-    assert!(findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicDeep)
-        .all(|f| f.severity == Severity::Info));
-}
-
-#[test]
-fn panic_deep_negative_fixture_is_clean() {
-    let src = include_str!("fixtures/panic_deep_negative.rs");
-    let findings = scan(
-        "fixtures/panic_deep_negative.rs",
-        src,
-        SourcePolicy::sim_crate(),
-    );
-    assert_eq!(count(&findings, Rule::PanicDeep), 0, "{findings:?}");
-}
-
-#[test]
-fn panic_deep_is_elevated_along_the_hot_call_graph() {
-    let src = include_str!("fixtures/panic_deep_hot.rs");
-    let pf = ParsedFile::parse("crates/demo/src/hot.rs", src, SourcePolicy::sim_crate());
-    let graph = CallGraph::build(std::slice::from_ref(&pf));
-    let hot = graph.hot_fns_of(0);
-    assert!(!hot.is_empty(), "run_with must seed the hot closure");
-    let findings = sem::scan_file(&pf, &hot);
-    let deep: Vec<_> = findings.iter().filter(|f| f.rule == Rule::PanicDeep).collect();
-    assert_eq!(deep.len(), 2, "{deep:?}");
-    // `helper` is reachable from `run_with` → warn; `cold_path` is not →
-    // stays info.
-    let warns = deep.iter().filter(|f| f.severity == Severity::Warn).count();
-    let infos = deep.iter().filter(|f| f.severity == Severity::Info).count();
-    assert_eq!((warns, infos), (1, 1), "{deep:?}");
 }
 
 #[test]
@@ -138,7 +49,6 @@ fn contract_xref_flags_an_uncovered_run_with_type() {
     let findings = sem::contract_xref(&[sim, uncovered]);
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, Rule::ContractXref);
-    assert_eq!(findings[0].severity, Severity::Error);
     assert!(findings[0].message.contains("DemoSim"), "{}", findings[0].message);
 }
 
