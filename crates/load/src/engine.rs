@@ -13,8 +13,9 @@
 //! Every cycle has four phases, in fixed order:
 //!
 //! 1. **Arrivals** — jobs whose arrival cycle is `now` join the pending
-//!    pool (`SchedPolicy::on_arrival`). Arrivals park in a
-//!    [`TimeWheel`], which is also what lets the event kernel jump the
+//!    pool (`SchedPolicy::on_arrival`). The stream is sorted by arrival
+//!    cycle, so a cursor over it yields each cycle's arrivals in stream
+//!    order, and its next entry is what lets the event kernel jump the
 //!    clock between them.
 //! 2. **Sync attempts** — processors whose retry timer expires present
 //!    their operation. Fetch-and-add and the CAS half of an RMW are
@@ -31,12 +32,13 @@
 //!
 //! # Kernels and determinism
 //!
-//! Both [`Kernel`]s run the same four phases off the same three time
-//! wheels (arrivals, attempts, completions); the event kernel just skips
-//! cycles where no wheel has anything due — such cycles provably touch no
-//! state (admissions can only fire on a cycle with an arrival or
-//! completion, because the engine drains either the idle-processor set or
-//! the pending pool whenever they are both nonempty). The engine draws no
+//! Both [`Kernel`]s run the same four phases off the same arrival cursor
+//! and two [`TimeWheel`]s (attempts, completions); the event kernel just
+//! skips cycles where neither the cursor nor a wheel has anything due —
+//! such cycles provably touch no state (admissions can only fire on a
+//! cycle with an arrival or completion, because the engine drains either
+//! the idle-processor set or the pending pool whenever they are both
+//! nonempty). The engine draws no
 //! randomness at all after stream generation, so outcomes and traces are
 //! bit-identical across kernels and across any `--jobs` fan-out by
 //! construction — the equivalence tests pin it anyway.
@@ -44,7 +46,7 @@
 use abs_core::policy::BackoffPolicy;
 use abs_obs::trace::{lane, TraceSink};
 use abs_sim::kernel::Kernel;
-use abs_sim::stats::{p50, p95, p99, OnlineStats};
+use abs_sim::stats::{nearest_ranks, OnlineStats};
 use abs_sim::wheel::TimeWheel;
 use abs_trace::ops::{CountingConsumer, MemorySystem, RefKind, SYNC_BASE};
 use abs_trace::sched::SchedKind;
@@ -289,12 +291,9 @@ impl OpenLoopSim {
         let weights: Vec<u64> = self.tenants.iter().map(|t| t.weight.max(1)).collect();
         let mut policy = cfg.sched.build(&weights);
 
-        // The three wheels. Arrivals are parked up front, keyed by job
-        // index, so popping due entries yields stream order.
-        let mut arrivals = TimeWheel::new(0);
-        for (ji, job) in jobs.iter().enumerate() {
-            arrivals.schedule(job.arrive, ji);
-        }
+        // `jobs` is sorted by arrival cycle, every one at least 1, so the
+        // cursor's next job is the earliest arrival not yet replayed.
+        let mut next_arrival = 0usize;
         let mut attempts_wheel = TimeWheel::new(0);
         let mut completions = TimeWheel::new(0);
 
@@ -327,10 +326,11 @@ impl OpenLoopSim {
         let mut now = 1u64;
         while now <= cfg.horizon {
             if kernel == Kernel::Event {
-                // Jump over cycles where no wheel has anything due; such
-                // cycles cannot change state (see the module docs).
+                // Jump over cycles with no arrival and nothing due on a
+                // wheel; such cycles cannot change state (see the module
+                // docs).
                 let next = [
-                    arrivals.peek_min(),
+                    jobs.get(next_arrival).map(|job| job.arrive),
                     attempts_wheel.peek_min(),
                     completions.peek_min(),
                 ]
@@ -350,11 +350,10 @@ impl OpenLoopSim {
             let mut active = false;
             let mut accessed = false;
 
-            // 1. Arrivals.
-            arrivals.pop_due(now, &mut due);
-            for &ji in &due {
-                let job = jobs[ji];
-                policy.on_arrival(job.tenant, ji as u64, now);
+            // 1. Arrivals, in stream order.
+            while let Some(&job) = jobs.get(next_arrival).filter(|job| job.arrive <= now) {
+                policy.on_arrival(job.tenant, next_arrival as u64, now);
+                next_arrival += 1;
                 pending_by_tenant[job.tenant] += 1;
                 arrived += 1;
                 t_arrivals[job.tenant] += 1;
@@ -535,15 +534,19 @@ impl OpenLoopSim {
         }
 
         let tenants = (0..n_tenants)
-            .map(|t| TenantOutcome {
-                arrivals: t_arrivals[t],
-                completed: t_completed[t],
-                throughput_per_kilocycle: t_completed[t] as f64 * 1000.0 / cfg.horizon as f64,
-                avg_admission_wait: t_wait[t].mean(),
-                p50_latency: p50(&t_latency[t]),
-                p95_latency: p95(&t_latency[t]),
-                p99_latency: p99(&t_latency[t]),
-                service_cycles: t_service[t],
+            .map(|t| {
+                let [p50_latency, p95_latency, p99_latency] =
+                    nearest_ranks(&t_latency[t], [0.50, 0.95, 0.99]);
+                TenantOutcome {
+                    arrivals: t_arrivals[t],
+                    completed: t_completed[t],
+                    throughput_per_kilocycle: t_completed[t] as f64 * 1000.0 / cfg.horizon as f64,
+                    avg_admission_wait: t_wait[t].mean(),
+                    p50_latency,
+                    p95_latency,
+                    p99_latency,
+                    service_cycles: t_service[t],
+                }
             })
             .collect();
         LoadOutcome {

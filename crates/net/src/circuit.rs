@@ -9,7 +9,7 @@
 //! Each processor alternates between thinking and issuing a memory request
 //! (possibly to a hot module). A request attempts to establish a circuit —
 //! claiming one switch output port per stage along its [`OmegaTopology`]
-//! path. If every port is free, the circuit is held for a configurable
+//! route. If every port is free, the circuit is held for a configurable
 //! round-trip time and then completes. If any port is busy, the request
 //! *collides*; the requester learns the depth of the first busy stage ("a
 //! network supplied status byte can be used to determine the stage at which
@@ -28,6 +28,10 @@
 //! processor draws a Bernoulli issue trial every single cycle, so dead
 //! cycles exist exactly when the whole population is attempting or holding
 //! — the saturated regime where the cycle stepper is at its slowest.
+//! A held port records the cycle its circuit expires, and a release runs at
+//! exactly that cycle in both kernels, so ports free themselves by
+//! timestamp and a route is never stored: each stage's port is computed
+//! from `(src, dst)` as the scan reaches it.
 //! Contention resolution (the per-cycle shuffle of simultaneous attempts)
 //! draws only over the *due* attempts, so a cycle with no due attempt
 //! costs no draw in either kernel.
@@ -47,7 +51,7 @@ pub struct CircuitConfig {
     /// log₂ of the network size (processors == memory modules == `2^k`).
     pub log2_size: u32,
     /// Cycles a successful circuit occupies its path (the memory round
-    /// trip).
+    /// trip); at least 1.
     pub hold_cycles: u64,
     /// Probability that an idle processor issues a new request each cycle.
     pub request_rate: f64,
@@ -158,13 +162,14 @@ impl CircuitSim {
     ///
     /// # Panics
     ///
-    /// Panics if the request rate is outside `[0, 1]` or the network size is
-    /// invalid (see [`OmegaTopology::new`]).
+    /// Panics if the request rate is outside `[0, 1]`, the hold time is
+    /// zero, or the network size is invalid (see [`OmegaTopology::new`]).
     pub fn new(config: CircuitConfig, policy: NetworkBackoff) -> Self {
         assert!(
             (0.0..=1.0).contains(&config.request_rate),
             "request rate must lie in [0, 1]"
         );
+        assert!(config.hold_cycles > 0, "hold cycles must be positive");
         // Validate the topology eagerly.
         let _ = OmegaTopology::new(config.log2_size);
         Self { config, policy }
@@ -199,27 +204,20 @@ impl CircuitSim {
         }
     }
 
-    /// Releases processor `p`'s held circuit at `now`: frees the path's
-    /// ports and records the completion if measuring.
-    #[allow(clippy::too_many_arguments)]
+    /// Releases processor `p`'s held circuit at `now`, its expiry, and
+    /// records the completion if measuring. The ports need no clearing:
+    /// each holds `now`, which the `occupied[..] > now` test already reads
+    /// as free.
     fn release(
         p: usize,
         now: u64,
         measuring: bool,
-        n: usize,
         states: &mut [ProcState],
-        held_paths: &mut [Option<Vec<usize>>],
-        occupied: &mut [u64],
         measure: &mut Measure,
     ) {
         let ProcState::Holding { issued, .. } = states[p] else {
             unreachable!("release of a non-holding processor")
         };
-        if let Some(path) = held_paths[p].take() {
-            for (s, port) in path.iter().enumerate() {
-                occupied[s * n + port] = 0;
-            }
-        }
         if measuring {
             measure.completed += 1;
             measure.latency.push((now - issued) as f64);
@@ -238,7 +236,6 @@ impl CircuitSim {
         measuring: bool,
         topo: &OmegaTopology,
         states: &mut [ProcState],
-        held_paths: &mut [Option<Vec<usize>>],
         occupied: &mut [u64],
         measure: &mut Measure,
     ) -> u64 {
@@ -254,21 +251,16 @@ impl CircuitSim {
             unreachable!("attempt by a non-attempting processor")
         };
         debug_assert!(retry_at <= now);
-        let path = topo.path(p, dst);
         if measuring {
             measure.attempts += 1;
         }
-        let conflict = path
-            .iter()
-            .enumerate()
-            .position(|(s, port)| occupied[s * n + port] > now);
+        let conflict = (0..stages).find(|&s| occupied[s * n + topo.port(p, dst, s)] > now);
         match conflict {
             None => {
                 let until = now + self.config.hold_cycles;
-                for (s, port) in path.iter().enumerate() {
-                    occupied[s * n + port] = until;
+                for s in 0..stages {
+                    occupied[s * n + topo.port(p, dst, s)] = until;
                 }
-                held_paths[p] = Some(path);
                 if measuring {
                     measure.attempt_per_req.push((retries + 1) as f64);
                 }
@@ -314,7 +306,6 @@ impl CircuitSim {
         traffic: &HotspotTraffic,
         rng: &mut Xoshiro256PlusPlus,
         states: &mut [ProcState],
-        held_paths: &mut [Option<Vec<usize>>],
         occupied: &mut [u64],
         measure: &mut Measure,
         due: &mut Vec<usize>,
@@ -325,7 +316,7 @@ impl CircuitSim {
         for p in 0..n {
             if let ProcState::Holding { until, .. } = states[p] {
                 if until <= now {
-                    Self::release(p, now, measuring, n, states, held_paths, occupied, measure);
+                    Self::release(p, now, measuring, states, measure);
                 }
             }
         }
@@ -355,7 +346,7 @@ impl CircuitSim {
         }
         rng.shuffle(due);
         for &p in due.iter() {
-            self.attempt(p, now, measuring, topo, states, held_paths, occupied, measure);
+            self.attempt(p, now, measuring, topo, states, occupied, measure);
         }
     }
 
@@ -377,10 +368,8 @@ impl CircuitSim {
 
         let mut states = vec![ProcState::Idle; n];
         // occupied[stage * n + port] = cycle until which the port is held
-        // (exclusive); 0 = free.
+        // (exclusive): free once `now` reaches it.
         let mut occupied: Vec<u64> = vec![0; topo.stages() * n];
-        // Paths of circuits being held, for release.
-        let mut held_paths: Vec<Option<Vec<usize>>> = vec![None; n];
 
         let total = self.config.warmup_cycles + self.config.measure_cycles;
         let mut measure = Measure::default();
@@ -395,7 +384,6 @@ impl CircuitSim {
                 &traffic,
                 &mut rng,
                 &mut states,
-                &mut held_paths,
                 &mut occupied,
                 &mut measure,
                 &mut due,
@@ -439,7 +427,6 @@ impl CircuitSim {
 
         let mut states = vec![ProcState::Idle; n];
         let mut occupied: Vec<u64> = vec![0; topo.stages() * n];
-        let mut held_paths: Vec<Option<Vec<usize>>> = vec![None; n];
 
         let total = self.config.warmup_cycles + self.config.measure_cycles;
         let mut measure = Measure::default();
@@ -472,7 +459,6 @@ impl CircuitSim {
                     &traffic,
                     &mut rng,
                     &mut states,
-                    &mut held_paths,
                     &mut occupied,
                     &mut measure,
                     &mut due,
@@ -530,16 +516,7 @@ impl CircuitSim {
             for &p in &events {
                 match states[p] {
                     ProcState::Holding { .. } => {
-                        Self::release(
-                            p,
-                            now,
-                            measuring,
-                            n,
-                            &mut states,
-                            &mut held_paths,
-                            &mut occupied,
-                            &mut measure,
-                        );
+                        Self::release(p, now, measuring, &mut states, &mut measure);
                         // A holding processor cannot already be idle.
                         let at = idle.binary_search(&p).unwrap_err();
                         idle.insert(at, p);
@@ -583,7 +560,6 @@ impl CircuitSim {
                     measuring,
                     &topo,
                     &mut states,
-                    &mut held_paths,
                     &mut occupied,
                     &mut measure,
                 );
@@ -795,6 +771,18 @@ mod tests {
         CircuitSim::new(
             CircuitConfig {
                 request_rate: 1.5,
+                ..quick_config()
+            },
+            NetworkBackoff::None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "hold cycles")]
+    fn zero_hold_rejected() {
+        CircuitSim::new(
+            CircuitConfig {
+                hold_cycles: 0,
                 ..quick_config()
             },
             NetworkBackoff::None,

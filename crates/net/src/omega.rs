@@ -8,9 +8,10 @@
 //!
 //! For circuit switching the only resource that matters is the set of
 //! *output ports* a circuit occupies, one per stage; two circuits conflict at
-//! the first stage where they occupy the same port. [`OmegaTopology::path`]
-//! computes that port vector and [`OmegaTopology::first_conflict`] finds the
-//! collision depth that the Section-8 backoff policies consume.
+//! the first stage where they occupy the same port. [`OmegaTopology::port`]
+//! gives a route's stage-`s` port in closed form, so the simulators walk a
+//! route stage by stage without building it; [`OmegaTopology::path`] is the
+//! shuffle-exchange reference it is tested against.
 
 /// The wiring of an Omega network with `2^k` inputs.
 ///
@@ -87,22 +88,24 @@ impl OmegaTopology {
         ports
     }
 
-    /// The stage index (0-based) of the first port shared by two paths, or
-    /// `None` if they are link-disjoint.
+    /// The output port a message from `src` to `dst` occupies at stage
+    /// `s`: `path(src, dst)[s]` without building the path.
     ///
-    /// The paper's "network depth traversed by the message" before a
-    /// collision is `first_conflict + 1` stages.
-    pub fn first_conflict(path_a: &[usize], path_b: &[usize]) -> Option<usize> {
-        path_a
-            .iter()
-            .zip(path_b.iter())
-            .position(|(a, b)| a == b)
-    }
-
-    /// The switch index at stage `s` that owns output port `port`
-    /// (two ports per switch).
-    pub fn switch_of(&self, port: usize) -> usize {
-        port >> 1
+    /// Each stage shifts one bit of `src` out at the top and routes the next
+    /// bit of `dst` in at the bottom, so after `s + 1` stages the position
+    /// is the `k`-bit window of the concatenation `src·dst` that ends at
+    /// bit `k − 1 − s` of `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is out of range.
+    pub fn port(&self, src: usize, dst: usize, s: usize) -> usize {
+        let n = self.size();
+        assert!(src < n, "src {src} out of range for size {n}");
+        assert!(dst < n, "dst {dst} out of range for size {n}");
+        let k = self.stages();
+        debug_assert!(s < k, "stage {s} out of range for {k} stages");
+        ((src << (s + 1)) | (dst >> (k - 1 - s))) & (n - 1)
     }
 }
 
@@ -123,17 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn same_destination_paths_converge() {
-        // All paths to the same destination share at least the final port.
-        let net = OmegaTopology::new(3);
-        let a = net.path(0, 6);
-        let b = net.path(5, 6);
-        let c = OmegaTopology::first_conflict(&a, &b);
-        assert!(c.is_some());
-        assert!(c.unwrap() < 3);
-    }
-
-    #[test]
     fn identity_route_through_unit_stages() {
         let net = OmegaTopology::new(2);
         // 4x4 network: path(0,0) shuffles 0 -> 0, routes bit 0 each time.
@@ -142,45 +134,9 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_paths_have_no_conflict() {
-        let net = OmegaTopology::new(3);
-        // A permutation routed without conflicts: identity is blocking-free
-        // in an omega network only for some permutations; pick two paths and
-        // verify the conflict detector agrees with direct comparison.
-        let a = net.path(0, 0);
-        let b = net.path(7, 7);
-        let direct = a.iter().zip(b.iter()).position(|(x, y)| x == y);
-        assert_eq!(OmegaTopology::first_conflict(&a, &b), direct);
-    }
-
-    #[test]
-    fn conflict_is_symmetric_and_first() {
-        let net = OmegaTopology::new(4);
-        for (s1, d1, s2, d2) in [(0, 9, 3, 9), (1, 4, 2, 12), (5, 5, 10, 5)] {
-            let a = net.path(s1, d1);
-            let b = net.path(s2, d2);
-            assert_eq!(
-                OmegaTopology::first_conflict(&a, &b),
-                OmegaTopology::first_conflict(&b, &a)
-            );
-            if let Some(s) = OmegaTopology::first_conflict(&a, &b) {
-                assert!(a[..s].iter().zip(&b[..s]).all(|(x, y)| x != y));
-                assert_eq!(a[s], b[s]);
-            }
-        }
-    }
-
-    #[test]
-    fn hot_module_paths_all_collide_at_some_stage() {
-        // Everyone routing to module 0: all paths share the final port, so
-        // every pair conflicts somewhere — the hot-spot tree.
-        let net = OmegaTopology::new(4);
-        let paths: Vec<_> = (0..net.size()).map(|s| net.path(s, 0)).collect();
-        for i in 0..paths.len() {
-            for j in (i + 1)..paths.len() {
-                assert!(OmegaTopology::first_conflict(&paths[i], &paths[j]).is_some());
-            }
-        }
+    #[should_panic(expected = "out of range")]
+    fn port_rejects_bad_dst() {
+        OmegaTopology::new(2).port(0, 4, 0);
     }
 
     #[test]
@@ -189,13 +145,6 @@ mod tests {
         assert_eq!(net.shuffle(0b100), 0b001);
         assert_eq!(net.shuffle(0b011), 0b110);
         assert_eq!(net.shuffle(0b111), 0b111);
-    }
-
-    #[test]
-    fn switch_of_pairs_ports() {
-        let net = OmegaTopology::new(3);
-        assert_eq!(net.switch_of(0), net.switch_of(1));
-        assert_ne!(net.switch_of(1), net.switch_of(2));
     }
 
     #[test]

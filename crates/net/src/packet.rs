@@ -101,13 +101,12 @@ pub struct PacketOutcome {
     pub avg_hot_queue: f64,
 }
 
-#[derive(Debug, Clone)]
+/// A packet in flight; its stage-`s` port is `topo.port(owner, dst, s)`.
+#[derive(Debug, Clone, Copy)]
 struct Packet {
     owner: usize,
-    path: Vec<usize>,
-    hop: usize,
+    dst: usize,
     issued: u64,
-    hot: bool,
 }
 
 /// A request waiting at its processor to be injected.
@@ -339,7 +338,7 @@ impl PacketSim {
                     inflight[pkt.owner] -= 1;
                     if measuring {
                         delivered += 1;
-                        if pkt.hot {
+                        if pkt.dst == 0 {
                             hot_delivered += 1;
                         }
                         latency.push((now - pkt.issued) as f64);
@@ -357,7 +356,7 @@ impl PacketSim {
                     let Some(head) = queues[s - 1][p].front() else {
                         continue;
                     };
-                    let want = head.path[s];
+                    let want = topo.port(head.owner, head.dst, s);
                     if queues[s][want].len() >= self.config.queue_capacity {
                         continue;
                     }
@@ -380,10 +379,9 @@ impl PacketSim {
                 }
                 for want in 0..n {
                     if let Some(src_port) = claim[want] {
-                        let mut pkt = queues[s - 1][src_port]
+                        let pkt = queues[s - 1][src_port]
                             .pop_front()
                             .expect("claimed head exists"); // abs-lint: allow(panic-path) -- the claim pass only records ports with occupied queues
-                        pkt.hop = s;
                         queues[s][want].push_back(pkt);
                     }
                 }
@@ -468,10 +466,7 @@ impl PacketSim {
                         continue;
                     }
                 }
-                let first_port = {
-                    // path[0] of the packet from p to dst.
-                    topo.path(p, dst)[0]
-                };
+                let first_port = topo.port(p, dst, 0);
                 if queues[0][first_port].len() >= self.config.queue_capacity {
                     self.block(p, &mut pending, &mut blocked, measuring, now, &queues, stages, sink);
                     continue;
@@ -495,14 +490,7 @@ impl PacketSim {
                 let Some(PendingReq { dst, issued, .. }) = pending[p] else {
                     continue;
                 };
-                let path = topo.path(p, dst);
-                queues[0][port].push_back(Packet {
-                    owner: p,
-                    path,
-                    hop: 0,
-                    issued,
-                    hot: dst == 0,
-                });
+                queues[0][port].push_back(Packet { owner: p, dst, issued });
                 pending[p] = None;
                 inflight[p] += 1;
             }
@@ -682,7 +670,7 @@ impl PacketSim {
                 }
                 if measuring {
                     delivered += 1;
-                    if pkt.hot {
+                    if pkt.dst == 0 {
                         hot_delivered += 1;
                     }
                     latency.push((now - pkt.issued) as f64);
@@ -697,7 +685,7 @@ impl PacketSim {
                     occ[s - 1].collect_into(&mut active);
                     for &p in &active {
                         let head = queues[s - 1][p].front().expect("occupancy bit set"); // abs-lint: allow(panic-path) -- the occupancy bit is set only while the queue is non-empty
-                        let want = head.path[s];
+                        let want = topo.port(head.owner, head.dst, s);
                         if queues[s][want].len() >= self.config.queue_capacity {
                             continue;
                         }
@@ -715,11 +703,10 @@ impl PacketSim {
                     for &want in &claimed {
                         let src_port = claim[want].take().expect("claimed port has a winner"); // abs-lint: allow(panic-path) -- claimed ports were filled in the claim pass just above
                         let queue = &mut queues[s - 1][src_port];
-                        let mut pkt = queue.pop_front().expect("claimed head exists"); // abs-lint: allow(panic-path) -- the winner was popped from an occupied queue
+                        let pkt = queue.pop_front().expect("claimed head exists"); // abs-lint: allow(panic-path) -- the winner was popped from an occupied queue
                         if queue.is_empty() {
                             occ[s - 1].clear(src_port);
                         }
-                        pkt.hop = s;
                         queues[s][want].push_back(pkt);
                         occ[s].set(want);
                         stage_count[s - 1] -= 1;
@@ -804,7 +791,7 @@ impl PacketSim {
                         continue;
                     }
                 }
-                let first_port = topo.path(p, dst)[0];
+                let first_port = topo.port(p, dst, 0);
                 if queues[0][first_port].len() >= self.config.queue_capacity {
                     self.block(p, &mut pending, &mut blocked, measuring, now, &queues, stages, sink);
                     continue;
@@ -830,14 +817,7 @@ impl PacketSim {
                 let p = claim[port].take().expect("claimed port has a winner"); // abs-lint: allow(panic-path) -- claimed ports were filled in the claim pass just above
                 let PendingReq { dst, issued, .. } =
                     pending[p].expect("claimed processor has a request"); // abs-lint: allow(panic-path) -- claim winners come from the pending set
-                let path = topo.path(p, dst);
-                queues[0][port].push_back(Packet {
-                    owner: p,
-                    path,
-                    hop: 0,
-                    issued,
-                    hot: dst == 0,
-                });
+                queues[0][port].push_back(Packet { owner: p, dst, issued });
                 occ[0].set(port);
                 stage_count[0] += 1;
                 total_packets += 1;
