@@ -4,7 +4,7 @@
 //! size 16 bytes."
 //!
 //! Every processor's cache has the same geometry, so the machine keeps all
-//! of them in one line-major [`SlotTable`]: the row of a line holds that
+//! of them in one line-major `SlotTable`: the row of a line holds that
 //! line's slot in every cache, side by side. A block can only live in its
 //! own line, so the row is also the block's complete sharer set — which is
 //! what lets the directory be derived from the caches instead of stored.

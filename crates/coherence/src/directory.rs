@@ -9,7 +9,7 @@
 //!
 //! The directory is not stored: a block's pointers are exactly the caches
 //! holding it, which are the matching slots of its line's row in the
-//! [`crate::cache::SlotTable`], and the entry is dirty iff one of them is.
+//! `SlotTable`, and the entry is dirty iff one of them is.
 //! [`crate::system::DirectorySystem`] derives each entry from that row and
 //! enforces the pointer limit below, evicting the oldest pointer (FIFO)
 //! when a read would add pointer `i + 1`.

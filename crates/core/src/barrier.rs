@@ -26,7 +26,7 @@
 //! **event-driven skip-ahead kernel** ([`Kernel::Event`]), which keeps the
 //! pending-request sets incrementally (id-sorted, so arbitration sees the
 //! same request slices), parks future wake-ups in a bucketed
-//! [`TimeWheel`](crate::wheel::TimeWheel), and jumps the clock over dead
+//! [`TimeWheel`], and jumps the clock over dead
 //! cycles. Both kernels process exactly the same set of *busy* cycles —
 //! every processed cycle has at least one pending request (asserted) — so
 //! the RNG draw sequence, the [`BarrierRun`], and the trace bytes emitted

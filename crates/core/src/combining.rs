@@ -23,7 +23,7 @@
 //! the event-driven skip-ahead kernel, which keeps one
 //! [`PendingSet`] per node module, tracks the set of *active* nodes (any
 //! pending request) in an ordered index, parks dormant processors in a
-//! [`TimeWheel`](crate::wheel::TimeWheel), and jumps the clock over dead
+//! [`TimeWheel`], and jumps the clock over dead
 //! cycles. Presented-access charges — including the per-module counters
 //! behind [`CombiningRun::max_module_accesses`] — are applied in bulk when
 //! a request leaves its set.

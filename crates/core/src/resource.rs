@@ -16,7 +16,7 @@
 //!
 //! Two bit-identical kernels drive an episode (selected by [`Kernel`]): the
 //! reference cycle stepper and the event-driven skip-ahead kernel built on
-//! a shared [`PendingSet`] and [`TimeWheel`](crate::wheel::TimeWheel) —
+//! a shared [`PendingSet`] and [`TimeWheel`] —
 //! see [`ResourceSim::run_with`].
 
 use abs_net::module::{Arbitration, MemoryModule, PendingSet, Request};

@@ -85,10 +85,10 @@ pub fn lint_workspace(root: &Path) -> Result<Report, String> {
     for entry in &ws.sources {
         let text = std::fs::read_to_string(&entry.path)
             .map_err(|e| format!("cannot read {}: {e}", entry.path.display()))?;
-        let (f, a) = rules::scan_source_raw(&entry.rel, &text, entry.policy);
+        let pf = sem::ParsedFile::parse(&entry.rel, &text, entry.policy);
+        let (f, a) = rules::scan_tokens(&pf);
         findings.extend(f);
         allows.extend(a);
-        let pf = sem::ParsedFile::parse(&entry.rel, &text, entry.policy);
         findings.extend(sem::scan_file(&pf));
         parsed.push(pf);
     }

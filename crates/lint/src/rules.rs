@@ -29,7 +29,8 @@
 
 use std::fmt;
 
-use crate::tokenizer::{tokenize, TokKind, Token};
+use crate::sem::ParsedFile;
+use crate::tokenizer::{TokKind, Token};
 
 /// The rule catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -220,27 +221,23 @@ const DETERMINISM_BANS: &[(&str, &str)] = &[
 /// directives already applied) plus every well-formed directive, for the
 /// report's audit trail.
 pub fn scan_source(rel_path: &str, text: &str, policy: SourcePolicy) -> (Vec<Finding>, Vec<Allow>) {
-    let (mut findings, allows) = scan_source_raw(rel_path, text, policy);
+    let (mut findings, allows) = scan_tokens(&ParsedFile::parse(rel_path, text, policy));
     findings.retain(|f| {
         f.rule == Rule::AllowGrammar || !allows.iter().any(|a| a.covers(f.rule, f.line))
     });
     (findings, allows)
 }
 
-/// Like [`scan_source`] but returns every finding *before* allow
-/// suppression. [`crate::lint_workspace`] needs the raw set to decide
-/// which allows are stale, and applies suppression itself after merging
-/// in the semantic rules.
-pub fn scan_source_raw(
-    rel_path: &str,
-    text: &str,
-    policy: SourcePolicy,
-) -> (Vec<Finding>, Vec<Allow>) {
-    let tokens = tokenize(text);
+/// Runs the token rules over a parsed file and returns every finding
+/// *before* allow suppression. [`crate::lint_workspace`] needs the raw set
+/// to decide which allows are stale, and applies suppression itself after
+/// merging in the semantic rules.
+pub fn scan_tokens(pf: &ParsedFile) -> (Vec<Finding>, Vec<Allow>) {
+    let (rel_path, policy, tokens) = (pf.rel.as_str(), pf.policy, &pf.tokens);
     let mut findings = Vec::new();
     let mut allows = Vec::new();
 
-    for token in &tokens {
+    for token in tokens {
         if let TokKind::LineComment | TokKind::BlockComment = token.kind {
             match parse_directive(&token.text) {
                 DirectiveParse::NotADirective => {}
@@ -257,8 +254,8 @@ pub fn scan_source_raw(
         }
     }
 
-    let in_test = test_code_mask(&tokens);
-    let safety_lines = safety_comment_lines(&tokens);
+    let in_test = pf.test_mask();
+    let safety_lines = safety_comment_lines(tokens);
 
     // Code tokens with their position in the full stream.
     let code: Vec<(usize, &Token)> = tokens
@@ -328,105 +325,6 @@ fn safety_comment_lines(tokens: &[Token]) -> Vec<u32> {
         .filter(|t| t.text.contains("SAFETY:"))
         .map(|t| t.line.saturating_add(u32::try_from(t.text.matches('\n').count()).unwrap_or(u32::MAX)))
         .collect()
-}
-
-/// Marks every token that belongs to a `#[cfg(test)]`/`#[test]` item.
-///
-/// The scan recognizes the attribute sequence `#` `[` … `]`, joins its
-/// code tokens, and when the attribute is test-shaped skips over any
-/// further attributes and then the item itself (to the matching close
-/// brace, or a top-level `;` for brace-less items).
-fn test_code_mask(tokens: &[Token]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    let code: Vec<usize> = (0..tokens.len()).filter(|&i| tokens[i].is_code()).collect();
-    let mut ci = 0usize;
-    while ci < code.len() {
-        let (is_attr, attr_text, after_attr) = read_attribute(tokens, &code, ci);
-        if !is_attr || !is_test_attribute(&attr_text) {
-            ci += 1;
-            continue;
-        }
-        let start = ci;
-        let mut cj = after_attr;
-        // Absorb any further attributes on the same item.
-        loop {
-            let (more, _, next) = read_attribute(tokens, &code, cj);
-            if !more {
-                break;
-            }
-            cj = next;
-        }
-        // Skip the item body.
-        let mut depth = 0usize;
-        while cj < code.len() {
-            match tokens[code[cj]].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        cj += 1;
-                        break;
-                    }
-                }
-                ";" if depth == 0 => {
-                    cj += 1;
-                    break;
-                }
-                _ => {}
-            }
-            cj += 1;
-        }
-        // Mark every token (code or not) spanned by the attribute + item.
-        let first = code[start];
-        let last = if cj > 0 && cj - 1 < code.len() {
-            code[cj - 1]
-        } else {
-            tokens.len() - 1
-        };
-        for slot in &mut mask[first..=last] {
-            *slot = true;
-        }
-        ci = cj.max(ci + 1);
-    }
-    mask
-}
-
-/// Reads an attribute starting at code index `ci`. Returns whether one was
-/// present, its joined inner text, and the code index just past `]`.
-fn read_attribute(tokens: &[Token], code: &[usize], ci: usize) -> (bool, String, usize) {
-    if ci + 1 >= code.len()
-        || tokens[code[ci]].text != "#"
-        || tokens[code[ci + 1]].text != "["
-    {
-        return (false, String::new(), ci);
-    }
-    let mut depth = 1usize;
-    let mut cj = ci + 2;
-    let mut inner = String::new();
-    while cj < code.len() {
-        let text = tokens[code[cj]].text.as_str();
-        match text {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return (true, inner, cj + 1);
-                }
-            }
-            _ => {}
-        }
-        inner.push_str(text);
-        cj += 1;
-    }
-    (false, String::new(), ci) // unterminated attribute
-}
-
-/// Whether a joined attribute body gates the item to test builds.
-fn is_test_attribute(attr: &str) -> bool {
-    attr == "test"
-        || attr == "cfg(test)"
-        || attr.starts_with("cfg(test,")
-        || attr.starts_with("cfg(all(test")
 }
 
 /// Result of trying to read a directive out of one comment.

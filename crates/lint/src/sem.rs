@@ -57,6 +57,29 @@ impl ParsedFile {
             .collect()
     }
 
+    /// Marks every token of a `#[cfg(test)]`/`#[test]` item, attributes
+    /// and leading trivia included, looking through `impl`, `trait` and
+    /// `mod` bodies.
+    pub fn test_mask(&self) -> Vec<bool> {
+        fn mark(items: &[Item], mask: &mut [bool]) {
+            for item in items {
+                if is_test_item(item) {
+                    mask[item.span.lo..item.span.hi].fill(true);
+                    continue;
+                }
+                match &item.kind {
+                    ItemKind::Impl(b) => mark(&b.items, mask),
+                    ItemKind::Trait(b) => mark(&b.items, mask),
+                    ItemKind::Mod(b) => mark(b.items.as_deref().unwrap_or_default(), mask),
+                    ItemKind::Fn(_) | ItemKind::Other => {}
+                }
+            }
+        }
+        let mut mask = vec![false; self.tokens.len()];
+        mark(&self.ast.items, &mut mask);
+        mask
+    }
+
     /// 1-based line of the first code token in `span` (falls back to the
     /// span's first token).
     pub fn first_code_line(&self, span: Span) -> u32 {
@@ -97,12 +120,14 @@ const KEYWORDS: &[&str] = &[
     "type", "unsafe", "use", "where", "while",
 ];
 
-/// Whether an attribute body gates an item to test builds.
-fn is_test_attr(body: &str) -> bool {
-    body == "test"
-        || body == "cfg(test)"
-        || body.starts_with("cfg(test,")
-        || body.starts_with("cfg(all(test")
+/// Whether an item's attributes gate it to test builds.
+fn is_test_item(item: &Item) -> bool {
+    item.attrs.iter().any(|a| {
+        a.body == "test"
+            || a.body == "cfg(test)"
+            || a.body.starts_with("cfg(test,")
+            || a.body.starts_with("cfg(all(test")
+    })
 }
 
 /// Runs the per-file semantic rules.
@@ -114,7 +139,7 @@ pub fn scan_file(pf: &ParsedFile) -> Vec<Finding> {
 
 fn scan_items(pf: &ParsedFile, items: &[Item], in_test: bool, out: &mut Vec<Finding>) {
     for item in items {
-        let test = in_test || item.attrs.iter().any(|a| is_test_attr(&a.body));
+        let test = in_test || is_test_item(item);
         match &item.kind {
             ItemKind::Fn(f) => {
                 if let Some(body) = &f.body {
@@ -390,7 +415,7 @@ pub fn contract_xref(files: &[ParsedFile]) -> Vec<Finding> {
 
 fn collect_test_regions(pf: &ParsedFile, items: &[Item], in_test: bool, corpus: &mut String) {
     for item in items {
-        let test = in_test || item.attrs.iter().any(|a| is_test_attr(&a.body));
+        let test = in_test || is_test_item(item);
         if test {
             let text = pf.text_of(item.span);
             if text.contains("kernels_") {
@@ -419,7 +444,7 @@ fn collect_run_with(
     found: &mut impl FnMut(&str, u32),
 ) {
     for item in items {
-        let test = in_test || item.attrs.iter().any(|a| is_test_attr(&a.body));
+        let test = in_test || is_test_item(item);
         if test {
             continue;
         }

@@ -4,7 +4,7 @@
 //!
 //! | location | determinism | panic-path | unsafe-audit |
 //! |---|---|---|---|
-//! | `crates/{core,net,sync,model,coherence,trace,sim,load,insight}/src` | ✔ | ✔ | ✔ |
+//! | `crates/{core,net,model,coherence,trace,sim,load,insight}/src` | ✔ | ✔ | ✔ |
 //! | other `crates/*/src`, root `src/` | ✘ | ✔ | ✔ |
 //! | `tests/`, `benches/`, `examples/` anywhere | ✘ | ✘ | ✔ |
 //!
@@ -25,7 +25,6 @@ use crate::rules::{Finding, Rule, SourcePolicy};
 pub const SIM_CRATES: &[&str] = &[
     "core",
     "net",
-    "sync",
     "model",
     "coherence",
     "trace",

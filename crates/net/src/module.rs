@@ -197,7 +197,7 @@ impl Default for MemoryModule {
 ///   is what makes the set usable at N = 10⁶: the sorted vector's
 ///   `O(len)` memmove per insert/remove would turn one mega barrier
 ///   episode into ~10¹² byte moves. The switch happens when the pending
-///   count first exceeds [`Self::SMALL_MAX`] (or at construction, when
+///   count first exceeds `SMALL_MAX` (or at construction, when
 ///   the declared capacity already exceeds it); it is one `O(capacity)`
 ///   rebuild and is never undone — a set that has been mega stays SoA.
 ///

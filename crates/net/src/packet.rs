@@ -242,8 +242,7 @@ impl PacketSim {
 
     /// Runs the simulation open-loop: instead of Bernoulli generation,
     /// each processor injects the pre-scheduled arrivals of `feed`, in
-    /// order, as soon as it is free. See [`run_fed_traced_with`]
-    /// (Self::run_fed_traced_with).
+    /// order, as soon as it is free. See [`Self::run_fed_traced_with`].
     pub fn run_fed(&self, seed: u64, feed: &PortFeed) -> PacketOutcome {
         self.run_fed_traced_with(seed, feed, &mut Noop, Kernel::default())
     }

@@ -15,7 +15,7 @@
 //!   with `ABS_CHECK_SEED=<seed>`.
 //!
 //! Case seeds are derived from the master seed with
-//! [`derive_seed`](crate::sweep::derive_seed), so the `i`-th case of a run
+//! [`derive_seed`], so the `i`-th case of a run
 //! is a pure function of `(master_seed, i)`: same seed, same inputs,
 //! bit-for-bit — the property analogue of the simulators' determinism
 //! guarantee.

@@ -225,7 +225,7 @@ pub struct Cfs {
 }
 
 impl Cfs {
-    /// Default wake-up grace: one [`VRUNTIME_SCALE`] quantum of lag, i.e.
+    /// Default wake-up grace: one `VRUNTIME_SCALE` quantum of lag, i.e.
     /// roughly one weight-1 service cycle of credit.
     pub const DEFAULT_GRACE: u64 = VRUNTIME_SCALE;
 

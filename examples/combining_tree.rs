@@ -1,5 +1,4 @@
-//! Combining-tree barriers: simulated hot-spot flattening and a real-thread
-//! demonstration.
+//! Combining-tree barriers: simulated hot-spot flattening.
 //!
 //! ```text
 //! cargo run --release --example combining_tree
@@ -8,17 +7,12 @@
 //! For large `N` the paper recommends software combining trees
 //! (Yew–Tseng–Lawrie) with backoff applied at the intermediate nodes. The
 //! simulation shows the tree spreading the barrier's hot spot across many
-//! memory modules; the second half runs the real `CombiningTreeBarrier` on
-//! host threads.
-
-use std::sync::Arc;
+//! memory modules.
 
 use adaptive_backoff::core::{
     BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig, CombiningTreeSim,
 };
 use adaptive_backoff::sim::table::{fmt_f64, Table};
-use adaptive_backoff::sync::barrier::WaitPolicy;
-use adaptive_backoff::sync::CombiningTreeBarrier;
 
 fn main() {
     let n = 256;
@@ -61,31 +55,4 @@ fn main() {
         }
     }
     println!("{t}");
-
-    // Real threads: a combining tree across however many cores we have.
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4);
-    let rounds = 1_000;
-    let barrier = Arc::new(CombiningTreeBarrier::new(
-        threads,
-        2,
-        WaitPolicy::exponential(2),
-    ));
-    let start = std::time::Instant::now();
-    std::thread::scope(|s| {
-        for i in 0..threads {
-            let b = Arc::clone(&barrier);
-            s.spawn(move || {
-                for _ in 0..rounds {
-                    b.wait(i);
-                }
-            });
-        }
-    });
-    println!(
-        "real combining tree: {threads} threads x {rounds} rounds in {:.1} ms ({} nodes)",
-        start.elapsed().as_secs_f64() * 1e3,
-        barrier.nodes(),
-    );
 }

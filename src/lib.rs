@@ -23,8 +23,6 @@
 //!   backoff policies (Figures 4–10), resource-wait backoff, and
 //!   combining-tree barriers.
 //! * [`model`] — the analytic Models 1 and 2 and hardware-barrier baselines.
-//! * [`sync`] — real-thread spin barriers and locks with the paper's backoff
-//!   policies, built on `std::sync::atomic`.
 //! * [`exec`] — the deterministic parallel execution engine: seeded job
 //!   sets, a fixed-size worker pool with id-ordered commit, panic
 //!   isolation, and JSON run manifests for `--resume`.
@@ -67,5 +65,4 @@ pub use abs_model as model;
 pub use abs_net as net;
 pub use abs_obs as obs;
 pub use abs_sim as sim;
-pub use abs_sync as sync;
 pub use abs_trace as trace;

@@ -183,9 +183,16 @@ fn path_dependencies_resolve_to_workspace_crates() {
             }
         }
     }
-    // All twelve library crates (including `abs-lint`, `abs-load` and
-    // `abs-insight`) are reachable by path from the root manifest.
-    assert_eq!(seen.len(), 12, "expected 12 distinct path targets: {seen:?}");
+    // Every library crate is reachable by path from the root manifest, and
+    // nothing else is: the path targets are exactly the `crates/`
+    // directories minus `bench`, the one crate that nothing depends on.
+    let crates: BTreeSet<PathBuf> = fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|dir| !dir.ends_with("bench"))
+        .map(|dir| dir.canonicalize().unwrap())
+        .collect();
+    assert_eq!(seen, crates, "path targets differ from the library crates");
     assert!(
         seen.iter().any(|p| p.ends_with("crates/exec")),
         "abs-exec must be registered as a path dependency: {seen:?}"
