@@ -12,7 +12,6 @@
 //! cargo run -p abs-bench --release --bin repro -- --list
 //! cargo run -p abs-bench --release --bin repro -- lint --json
 //! cargo run -p abs-bench --release --bin repro -- analyze repro_out/t.json
-//! cargo run -p abs-bench --release --bin repro -- sentinel --json
 //! ```
 //!
 //! `--kernel` selects the simulation kernel: `event` (default) is the
@@ -39,10 +38,7 @@
 //!
 //! `repro analyze <trace.json>` replays the abs-insight passes over such a
 //! trace: cycle attribution (with the conservation invariant), barrier
-//! episode extraction, and per-tenant SLO timelines. `repro sentinel`
-//! compares a fresh `repro_out/bench_kernel_speedup.json` (written by
-//! `cargo bench --bench kernel_speedup`) against the committed baseline
-//! under `repro_out/baselines/` and exits 1 on regression.
+//! episode extraction, and per-tenant SLO timelines.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -75,12 +71,6 @@ fn main() -> ExitCode {
         }
         Parsed::Lint { json } => lint(json),
         Parsed::Analyze { file, json } => analyze(&file, json),
-        Parsed::Sentinel {
-            baseline,
-            fresh,
-            tolerance,
-            json,
-        } => sentinel(baseline, fresh, tolerance, json),
         Parsed::Run(options) => run(options),
     }
 }
@@ -140,74 +130,6 @@ fn analyze(file: &std::path::Path, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// `repro sentinel`: compare fresh kernel-speedup medians against the
-/// committed baseline. Exit code: 0 clean, 1 regression, 2 unreadable
-/// input.
-fn sentinel(
-    baseline: Option<PathBuf>,
-    fresh: Option<PathBuf>,
-    tolerance: Option<f64>,
-    json: bool,
-) -> ExitCode {
-    let out_dir = default_out_dir();
-    let baseline_path =
-        baseline.unwrap_or_else(|| out_dir.join("baselines/bench_kernel_speedup.json"));
-    // The pre-rename artifact is accepted as a fallback so a stale working
-    // tree still gets a verdict, with a nudge toward the canonical name.
-    let fresh_path = fresh.unwrap_or_else(|| {
-        let canonical = out_dir.join("bench_kernel_speedup.json");
-        let legacy = out_dir.join("BENCH_kernel.json");
-        if !canonical.exists() && legacy.exists() {
-            eprintln!(
-                "repro sentinel: {} not found; falling back to legacy {} — rerun \
-                 `cargo bench --bench kernel_speedup` to regenerate the canonical name",
-                canonical.display(),
-                legacy.display()
-            );
-            legacy
-        } else {
-            canonical
-        }
-    });
-    let load = |path: &std::path::Path| -> Result<Vec<abs_insight::sentinel::SpeedupPoint>, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        abs_insight::sentinel::parse_speedup(&text)
-            .map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (base, fresh) = match (load(&baseline_path), load(&fresh_path)) {
-        (Ok(b), Ok(f)) => (b, f),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("repro sentinel: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut config = abs_insight::sentinel::SentinelConfig::default();
-    if let Some(t) = tolerance {
-        config.rel_tol = t;
-    }
-    let report = abs_insight::sentinel::compare(&base, &fresh, &config);
-    print!("{}", report.to_text());
-    if json {
-        let path = out_dir.join("sentinel_report.json");
-        if let Err(e) = fs::create_dir_all(&out_dir)
-            .map_err(|e| e.to_string())
-            .and_then(|()| {
-                fs::write(&path, report.to_json().render_pretty()).map_err(|e| e.to_string())
-            })
-        {
-            eprintln!("repro sentinel: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("wrote {}", path.display());
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// `repro lint [--json]`: the abs-lint pass over this workspace. Exits 0

@@ -65,10 +65,7 @@ pub struct CliOptions {
 }
 
 /// What `main` should do with the parsed arguments.
-///
-/// Not `Eq` because [`Parsed::Sentinel`] carries the `--tolerance`
-/// fraction as an `f64`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Parsed {
     /// Run the targets.
     Run(CliOptions),
@@ -87,18 +84,6 @@ pub enum Parsed {
         /// The `--trace` output file to analyze.
         file: PathBuf,
         /// Also write `repro_out/analysis_<stem>.json`.
-        json: bool,
-    },
-    /// Compare fresh kernel-speedup medians against the committed baseline
-    /// (`repro sentinel [--baseline F] [--fresh F] [--tolerance T] [--json]`).
-    Sentinel {
-        /// Baseline artifact (default: `repro_out/baselines/bench_kernel_speedup.json`).
-        baseline: Option<PathBuf>,
-        /// Fresh artifact (default: `repro_out/bench_kernel_speedup.json`).
-        fresh: Option<PathBuf>,
-        /// Relative regression tolerance override, in (0, 1).
-        tolerance: Option<f64>,
-        /// Also write `repro_out/sentinel_report.json`.
         json: bool,
     },
     /// Reject the invocation with this message.
@@ -160,55 +145,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
             );
         };
         return Parsed::Analyze { file, json };
-    }
-    // `repro sentinel` compares a fresh kernel-speedup artifact against the
-    // committed baseline and exits nonzero on regression.
-    if args.peek().map(String::as_str) == Some("sentinel") {
-        args.next();
-        let mut baseline: Option<PathBuf> = None;
-        let mut fresh: Option<PathBuf> = None;
-        let mut tolerance: Option<f64> = None;
-        let mut json = false;
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--json" => json = true,
-                "--baseline" => {
-                    let Some(v) = args.next() else {
-                        return Parsed::Error("--baseline needs a file path".into());
-                    };
-                    baseline = Some(PathBuf::from(v));
-                }
-                "--fresh" => {
-                    let Some(v) = args.next() else {
-                        return Parsed::Error("--fresh needs a file path".into());
-                    };
-                    fresh = Some(PathBuf::from(v));
-                }
-                "--tolerance" => {
-                    let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                        return Parsed::Error("--tolerance needs a number in (0, 1)".into());
-                    };
-                    if !v.is_finite() || v <= 0.0 || v >= 1.0 {
-                        return Parsed::Error(
-                            "--tolerance must be a fraction in (0, 1), e.g. 0.15".into(),
-                        );
-                    }
-                    tolerance = Some(v);
-                }
-                other => {
-                    return Parsed::Error(format!(
-                        "unknown sentinel argument {other:?}; usage: repro sentinel \
-                         [--baseline F] [--fresh F] [--tolerance T] [--json]"
-                    ));
-                }
-            }
-        }
-        return Parsed::Sentinel {
-            baseline,
-            fresh,
-            tolerance,
-            json,
-        };
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -363,8 +299,7 @@ pub fn help() -> String {
         \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
         \x20       repro lint [--json]\n\
-        \x20       repro analyze <trace.json> [--json]\n\
-        \x20       repro sentinel [--baseline F] [--fresh F] [--tolerance T] [--json]\n\n\
+        \x20       repro analyze <trace.json> [--json]\n\n\
          --jobs N    run exhibits on N worker threads (default: available\n\
         \x20            parallelism); output is bit-identical at any N\n\
          --kernel K  simulation kernel: event (default, skip-ahead) or\n\
@@ -387,9 +322,7 @@ pub fn help() -> String {
         \x20            writes repro_out/lint_report.json)\n\
          analyze     run the abs-insight passes (cycle attribution, barrier\n\
         \x20            episodes, per-tenant SLO timelines) over a --trace\n\
-        \x20            file; --json also writes repro_out/analysis_<stem>.json\n\
-         sentinel    compare a fresh repro_out/bench_kernel_speedup.json\n\
-        \x20            against repro_out/baselines/; exits 1 on regression\n\n\
+        \x20            file; --json also writes repro_out/analysis_<stem>.json\n\n\
          experiments: {}\n\
          (run `repro --list` for one-line descriptions)",
         IDS.join(" ")
@@ -613,49 +546,8 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_subcommand_parses() {
-        assert_eq!(
-            parse(&["sentinel"]),
-            Parsed::Sentinel {
-                baseline: None,
-                fresh: None,
-                tolerance: None,
-                json: false
-            }
-        );
-        assert_eq!(
-            parse(&[
-                "sentinel", "--baseline", "b.json", "--fresh", "f.json", "--tolerance", "0.2",
-                "--json"
-            ]),
-            Parsed::Sentinel {
-                baseline: Some(PathBuf::from("b.json")),
-                fresh: Some(PathBuf::from("f.json")),
-                tolerance: Some(0.2),
-                json: true
-            }
-        );
-    }
-
-    #[test]
-    fn sentinel_rejects_bad_tolerance() {
-        for bad in ["0", "1", "-0.1", "1.5", "inf", "nan", "x"] {
-            assert!(
-                matches!(parse(&["sentinel", "--tolerance", bad]), Parsed::Error(_)),
-                "tolerance {bad:?} should be rejected"
-            );
-        }
-        assert!(matches!(parse(&["sentinel", "--tolerance"]), Parsed::Error(_)));
-        assert!(matches!(parse(&["sentinel", "--baseline"]), Parsed::Error(_)));
-        assert!(matches!(parse(&["sentinel", "extra"]), Parsed::Error(_)));
-    }
-
-    #[test]
-    fn help_mentions_analyze_and_sentinel() {
-        let h = help();
-        assert!(h.contains("repro analyze"), "{h}");
-        assert!(h.contains("repro sentinel"), "{h}");
-        assert!(h.contains("--tolerance"), "{h}");
+    fn help_mentions_analyze() {
+        assert!(help().contains("repro analyze"), "{}", help());
     }
 
     #[test]

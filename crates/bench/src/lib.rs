@@ -29,7 +29,6 @@
 
 pub mod cli;
 pub mod experiments;
-pub mod harness;
 pub mod render;
 
 use abs_sim::Kernel;

@@ -1,11 +1,9 @@
-//! `repro analyze` / `repro sentinel` end to end, driving the real binary.
+//! `repro analyze` end to end, driving the real binary.
 //!
-//! The analyze path: a traced exhibit run writes a Chrome trace document;
-//! `repro analyze` imports it and must produce a conserved cycle
-//! attribution whose bytes are identical at any `--jobs` count (the trace
-//! is, so the analysis — a pure function of the trace — must be too).
-//! The sentinel path: a fresh kernel-speedup artifact equal to the
-//! baseline passes with exit 0; an injected ≥20 % slowdown exits 1.
+//! A traced exhibit run writes a Chrome trace document; `repro analyze`
+//! imports it and must produce a conserved cycle attribution whose bytes
+//! are identical at any `--jobs` count (the trace is, so the analysis — a
+//! pure function of the trace — must be too).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -114,95 +112,4 @@ fn analyze_rejects_garbage_input() {
     assert_eq!(analyzed.status.code(), Some(2), "{}", stderr(&analyzed));
     let missing = repro(&["analyze", dir.join("absent.json").to_str().unwrap()]);
     assert_eq!(missing.status.code(), Some(2), "{}", stderr(&missing));
-}
-
-/// A minimal kernel-speedup artifact with the given event-kernel medians.
-fn speedup_json(event_ns: &[(f64, f64)]) -> String {
-    let points: Vec<String> = event_ns
-        .iter()
-        .enumerate()
-        .map(|(i, (ns, mad))| {
-            format!(
-                "    {{\"point\": \"p{i}\", \"cycle_ns\": 1000.0, \"cycle_mad_ns\": 4.0, \
-                 \"event_ns\": {ns:.1}, \"event_mad_ns\": {mad:.1}, \"speedup\": {:.2}}}",
-                1000.0 / ns
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"runner\": \"kernel_speedup\",\n  \"points\": [\n{}\n  ]\n}}\n",
-        points.join(",\n")
-    )
-}
-
-#[test]
-fn sentinel_passes_on_matching_artifacts_and_flags_slowdowns() {
-    let dir = tmpdir("insight_cli_sentinel");
-    let baseline = dir.join("baseline.json");
-    let clean = dir.join("fresh_clean.json");
-    let slow = dir.join("fresh_slow.json");
-    std::fs::write(&baseline, speedup_json(&[(100.0, 1.0), (200.0, 2.0)])).unwrap();
-    std::fs::write(&clean, speedup_json(&[(101.0, 1.0), (199.0, 2.0)])).unwrap();
-    // 25 % slower event kernel on the first point: a 20 % speedup drop,
-    // well past the default 15 % tolerance.
-    std::fs::write(&slow, speedup_json(&[(125.0, 1.0), (200.0, 2.0)])).unwrap();
-
-    let ok = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        clean.to_str().unwrap(),
-    ]);
-    assert!(ok.status.success(), "clean sentinel failed:\n{}", stdout(&ok));
-    assert!(stdout(&ok).contains("ok"), "{}", stdout(&ok));
-
-    let bad = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-    ]);
-    assert_eq!(bad.status.code(), Some(1), "slowdown must exit 1");
-    assert!(stdout(&bad).contains("REGRESSED"), "{}", stdout(&bad));
-
-    // A missing fresh artifact is an input error, not a regression.
-    let missing = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        dir.join("absent.json").to_str().unwrap(),
-    ]);
-    assert_eq!(missing.status.code(), Some(2), "{}", stderr(&missing));
-}
-
-#[test]
-fn sentinel_tolerance_flag_widens_the_verdict() {
-    let dir = tmpdir("insight_cli_tolerance");
-    let baseline = dir.join("baseline.json");
-    let slow = dir.join("fresh.json");
-    std::fs::write(&baseline, speedup_json(&[(100.0, 0.1)])).unwrap();
-    std::fs::write(&slow, speedup_json(&[(125.0, 0.1)])).unwrap();
-
-    let strict = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-    ]);
-    assert_eq!(strict.status.code(), Some(1));
-
-    let lax = repro(&[
-        "sentinel",
-        "--baseline",
-        baseline.to_str().unwrap(),
-        "--fresh",
-        slow.to_str().unwrap(),
-        "--tolerance",
-        "0.5",
-    ]);
-    assert!(lax.status.success(), "{}", stdout(&lax));
 }

@@ -71,6 +71,38 @@ fn barrier_exhaustive_grid_bit_identical() {
     }
 }
 
+/// One cell per arbitration discipline at `n` processors. Above
+/// `PendingSet::SMALL_MAX` (1024) the barrier builds its pending sets in
+/// the Fenwick layout, which the N ≤ 512 grid above never reaches.
+fn assert_fenwick_scale_bit_identical(n: usize) {
+    let cells = [
+        (BackoffPolicy::None, Arbitration::Random, 0u64),
+        (BackoffPolicy::exponential(2), Arbitration::RoundRobin, 1000),
+        (BackoffPolicy::exponential(8), Arbitration::OldestFirst, 1000),
+    ];
+    for (policy, arb, a) in cells {
+        let sim = BarrierSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
+        let seed = derive_seed(0xF3E0, (n as u64) << 32 | a);
+        let cycle = sim.run_with(seed, Kernel::Cycle);
+        let event = sim.run_with(seed, Kernel::Event);
+        assert_eq!(cycle, event, "{policy:?} {arb:?} N={n} A={a} seed={seed}");
+    }
+}
+
+#[test]
+fn barrier_fenwick_scale_bit_identical_n4096() {
+    assert_fenwick_scale_bit_identical(4096);
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the cycle oracle needs a release build at N = 16384"
+)]
+fn barrier_fenwick_scale_bit_identical_n16384() {
+    assert_fenwick_scale_bit_identical(16384);
+}
+
 #[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();

@@ -1,23 +1,20 @@
 //! The worker pool: fixed-size, panic-isolating, id-order committing.
 //!
-//! [`Engine::run`] spawns `workers` scoped threads over an injector. The
-//! default injector is **chunked work-stealing** ([`Dispatch::Stealing`]):
-//! the job-id range is cut into contiguous chunks dealt to per-worker
-//! deques; an owner pops chunks from the front of its own deque, and a
-//! worker that runs dry steals the back half of a victim's deque. Because
-//! all chunks exist up front (jobs never spawn jobs), a worker may exit
-//! once its own deque is empty and a full victim scan finds nothing — no
-//! condvar, no spinning. The legacy `Mutex`-guarded cursor
-//! ([`Dispatch::Cursor`]) is kept as the oracle for dispatch-overhead
-//! benchmarks and bit-identity tests.
+//! [`Engine::run`] spawns `workers` scoped threads over a **chunked
+//! work-stealing** injector: the job-id range is cut into contiguous chunks
+//! dealt to per-worker deques; an owner pops chunks from the front of its
+//! own deque, and a worker that runs dry steals the back half of a victim's
+//! deque. Because all chunks exist up front (jobs never spawn jobs), a
+//! worker may exit once its own deque is empty and a full victim scan finds
+//! nothing — no condvar, no spinning.
 //!
 //! Each worker executes its jobs under [`std::panic::catch_unwind`] with
 //! bounded retry and accumulates `(id, outcome)` pairs *locally*; outcomes
 //! are merged into id-indexed slots only after every worker has joined, so
 //! the result path takes no locks at all. Because every job's seed is
 //! fixed at push time and outcomes are committed by id, the returned
-//! [`RunReport`] is bit-for-bit identical at any worker count and under
-//! either injector — only the timing counters differ.
+//! [`RunReport`] is bit-for-bit identical at any worker count — only the
+//! timing counters differ.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -26,18 +23,6 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::job::{JobFailure, JobOutcome, JobSet, JobStats};
-
-/// How workers are fed job ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Dispatch {
-    /// Chunked work-stealing deques (the default): contention is one
-    /// uncontended deque lock per *chunk*, not per job.
-    #[default]
-    Stealing,
-    /// The legacy shared cursor: one global lock acquisition per job.
-    /// Kept as the dispatch-overhead oracle; results are identical.
-    Cursor,
-}
 
 /// Sizing and robustness knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +33,10 @@ pub struct ExecConfig {
     /// How many times a panicking job is re-executed before it is reported
     /// as failed.
     pub retries: u32,
-    /// The injector feeding workers (work-stealing by default).
-    pub dispatch: Dispatch,
 }
 
 impl ExecConfig {
-    /// A pool of `workers` threads with no retries and the default
-    /// work-stealing injector.
+    /// A pool of `workers` threads with no retries.
     ///
     /// # Panics
     ///
@@ -64,7 +46,6 @@ impl ExecConfig {
         Self {
             workers,
             retries: 0,
-            dispatch: Dispatch::default(),
         }
     }
 
@@ -76,12 +57,6 @@ impl ExecConfig {
     /// Sets the bounded retry count.
     pub fn with_retries(mut self, retries: u32) -> Self {
         self.retries = retries;
-        self
-    }
-
-    /// Selects the injector.
-    pub fn with_dispatch(mut self, dispatch: Dispatch) -> Self {
-        self.dispatch = dispatch;
         self
     }
 }
@@ -149,7 +124,7 @@ impl Engine {
         let retries = self.config.retries;
         let start = Instant::now();
 
-        let injector = Injector::new(self.config.dispatch, n, workers);
+        let injector = Injector::new(n, workers);
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(workers);
         let mut slots: Vec<Option<(Result<T, JobFailure>, JobStats)>> =
@@ -236,93 +211,74 @@ impl Engine {
 
 /// The injector feeding workers ranges of job ids.
 ///
-/// Both variants hand out every id in `[0, n)` exactly once; they differ
-/// only in contention. The cursor takes one global lock per job. The
-/// stealing injector deals contiguous chunks (several per worker, so late
-/// stragglers still find work to steal) into per-worker deques: an owner
-/// pops from the front of its own deque — preserving ascending id order
-/// locally, which keeps cache behaviour and manifest ordering friendly —
-/// and a thief takes the *back half* of the first non-empty victim,
-/// moving the largest outstanding ranges away from the owner's hot front.
+/// It hands out every id in `[0, n)` exactly once. Contiguous chunks
+/// (several per worker, so late stragglers still find work to steal) are
+/// dealt into per-worker deques: an owner pops from the front of its own
+/// deque — preserving ascending id order locally, which keeps cache
+/// behaviour and manifest ordering friendly — and a thief takes the *back
+/// half* of the first non-empty victim, moving the largest outstanding
+/// ranges away from the owner's hot front. Contention is one uncontended
+/// deque lock per *chunk*, not per job.
 #[derive(Debug)]
-enum Injector {
-    Cursor(Mutex<usize>, usize),
-    Stealing(Vec<Mutex<VecDeque<Range<usize>>>>),
+struct Injector {
+    deques: Vec<Mutex<VecDeque<Range<usize>>>>,
 }
 
 impl Injector {
-    /// Chunks per worker under stealing dispatch: enough granularity for
-    /// late stragglers to steal, coarse enough that lock traffic stays at
-    /// ~`CHUNKS_PER_WORKER × workers` acquisitions per run.
+    /// Chunks per worker: enough granularity for late stragglers to steal,
+    /// coarse enough that lock traffic stays at ~`CHUNKS_PER_WORKER ×
+    /// workers` acquisitions per run.
     const CHUNKS_PER_WORKER: usize = 8;
 
-    fn new(dispatch: Dispatch, n: usize, workers: usize) -> Self {
-        match dispatch {
-            Dispatch::Cursor => Injector::Cursor(Mutex::new(0), n),
-            Dispatch::Stealing => {
-                let chunk = n.div_ceil(workers * Self::CHUNKS_PER_WORKER).max(1);
-                let chunks: Vec<Range<usize>> = (0..n.div_ceil(chunk))
-                    .map(|i| i * chunk..((i + 1) * chunk).min(n))
-                    .collect();
-                // Deal contiguous runs of chunks per worker, so worker 0
-                // starts at id 0 like the cursor would.
-                let per = chunks.len().div_ceil(workers).max(1);
-                let mut deques: Vec<Mutex<VecDeque<Range<usize>>>> =
-                    (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-                for (w, run) in chunks.chunks(per).enumerate() {
-                    *deques[w].get_mut().expect("freshly built mutex") = // abs-lint: allow(panic-path) -- no thread has touched the mutex yet
-                        run.iter().cloned().collect();
-                }
-                Injector::Stealing(deques)
-            }
+    fn new(n: usize, workers: usize) -> Self {
+        let chunk = n.div_ceil(workers * Self::CHUNKS_PER_WORKER).max(1);
+        let chunks: Vec<Range<usize>> = (0..n.div_ceil(chunk))
+            .map(|i| i * chunk..((i + 1) * chunk).min(n))
+            .collect();
+        // Deal contiguous runs of chunks per worker, so worker 0 starts at
+        // id 0.
+        let per = chunks.len().div_ceil(workers).max(1);
+        let mut deques: Vec<Mutex<VecDeque<Range<usize>>>> =
+            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+        for (w, run) in chunks.chunks(per).enumerate() {
+            *deques[w].get_mut().expect("freshly built mutex") = // abs-lint: allow(panic-path) -- no thread has touched the mutex yet
+                run.iter().cloned().collect();
         }
+        Injector { deques }
     }
 
     /// The next range of job ids for `worker`, or `None` when the run is
     /// drained (own deque empty and nothing stealable anywhere).
     fn next_chunk(&self, worker: usize) -> Option<Range<usize>> {
-        match self {
-            Injector::Cursor(next, n) => {
-                let mut cursor = next.lock().unwrap(); // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
-                if *cursor >= *n {
-                    None
-                } else {
-                    let i = *cursor;
-                    *cursor += 1;
-                    Some(i..i + 1)
-                }
-            }
-            Injector::Stealing(deques) => {
-                if let Some(chunk) = deques[worker]
-                    .lock()
-                    .unwrap() // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
-                    .pop_front()
-                {
-                    return Some(chunk);
-                }
-                // Own deque dry: steal the back half of the first victim
-                // with queued chunks. Chunks only ever leave deques, so one
-                // full failed scan means the run is drained.
-                let workers = deques.len();
-                for offset in 1..workers {
-                    let victim = (worker + offset) % workers;
-                    let mut stolen = {
-                        let mut q = deques[victim].lock().unwrap(); // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
-                        if q.is_empty() {
-                            continue;
-                        }
-                        let keep = q.len() / 2;
-                        q.split_off(keep)
-                    };
-                    let first = stolen.pop_front();
-                    if !stolen.is_empty() {
-                        *deques[worker].lock().unwrap() = stolen; // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
-                    }
-                    return first;
-                }
-                None
-            }
+        let deques = &self.deques;
+        if let Some(chunk) = deques[worker]
+            .lock()
+            .unwrap() // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+            .pop_front()
+        {
+            return Some(chunk);
         }
+        // Own deque dry: steal the back half of the first victim with
+        // queued chunks. Chunks only ever leave deques, so one full failed
+        // scan means the run is drained.
+        let workers = deques.len();
+        for offset in 1..workers {
+            let victim = (worker + offset) % workers;
+            let mut stolen = {
+                let mut q = deques[victim].lock().unwrap(); // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+                if q.is_empty() {
+                    continue;
+                }
+                let keep = q.len() / 2;
+                q.split_off(keep)
+            };
+            let first = stolen.pop_front();
+            if !stolen.is_empty() {
+                *deques[worker].lock().unwrap() = stolen; // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+            }
+            return first;
+        }
+        None
     }
 }
 
@@ -506,10 +462,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_cursor_dispatch_are_bit_identical() {
+    fn results_are_bit_identical_at_any_worker_count() {
         // The injector is pure scheduling: same seeds, same id-ordered
-        // commit, so the value sequence cannot depend on the dispatch mode
-        // or worker count.
+        // commit, so the value sequence cannot depend on the worker count.
         let build = || {
             let mut set = JobSet::new(0xD15);
             for i in 0..97u64 {
@@ -517,18 +472,16 @@ mod tests {
             }
             set
         };
-        let reference = Engine::new(ExecConfig::new(1).with_dispatch(Dispatch::Cursor))
+        let reference = Engine::new(ExecConfig::new(1))
             .run(build())
             .into_values()
             .unwrap();
         for workers in [1, 2, 8] {
-            for dispatch in [Dispatch::Cursor, Dispatch::Stealing] {
-                let values = Engine::new(ExecConfig::new(workers).with_dispatch(dispatch))
-                    .run(build())
-                    .into_values()
-                    .unwrap();
-                assert_eq!(values, reference, "{workers} workers, {dispatch:?}");
-            }
+            let values = Engine::new(ExecConfig::new(workers))
+                .run(build())
+                .into_values()
+                .unwrap();
+            assert_eq!(values, reference, "{workers} workers");
         }
     }
 
@@ -562,12 +515,7 @@ mod tests {
                 i
             });
         }
-        let report = Engine::new(
-            ExecConfig::new(4)
-                .with_dispatch(Dispatch::Stealing)
-                .with_retries(1),
-        )
-        .run(set);
+        let report = Engine::new(ExecConfig::new(4).with_retries(1)).run(set);
         assert_eq!(report.ok_count(), 63);
         let failed = report.failed();
         assert_eq!(failed.len(), 1);

@@ -66,9 +66,7 @@ pub mod manifest;
 pub mod reps;
 pub mod shard;
 
-pub use engine::{
-    available_parallelism, Dispatch, Engine, ExecConfig, ExecError, RunReport, WorkerStats,
-};
+pub use engine::{available_parallelism, Engine, ExecConfig, ExecError, RunReport, WorkerStats};
 pub use job::{Job, JobFailure, JobOutcome, JobSet, JobStats};
 pub use manifest::{git_commit, JobRecord, JobStatus, RunManifest};
 pub use reps::run_repetitions;

@@ -19,9 +19,6 @@
 //! * [`slo`] — per-tenant SLO timelines for open-loop (`abs-load`) runs:
 //!   windowed completion rate, queue depth, and wait quantiles, making
 //!   starvation visible over time.
-//! * [`sentinel`] — the perf-regression sentinel behind `repro sentinel`:
-//!   compares a fresh `bench_kernel_speedup.json` against the committed
-//!   baseline under `repro_out/baselines/` with median/MAD tolerances.
 //! * [`import`] — reads `repro --trace` Chrome documents back into unit
 //!   event lists, so analysis runs the same on a live ring or a file.
 //! * [`analyze`] — the `repro analyze` orchestration: every pass a unit
@@ -53,5 +50,4 @@ pub mod analyze;
 pub mod attribution;
 pub mod episodes;
 pub mod import;
-pub mod sentinel;
 pub mod slo;

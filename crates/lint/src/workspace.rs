@@ -219,7 +219,7 @@ mod tests {
         assert!(policy_of("crates/load/src/engine.rs").determinism);
         assert!(!policy_of("crates/exec/src/engine.rs").determinism);
         assert!(policy_of("crates/exec/src/engine.rs").panic_path);
-        assert!(!policy_of("crates/bench/benches/kernel_speedup.rs").panic_path);
+        assert!(!policy_of("crates/bench/tests/kernel_equivalence.rs").panic_path);
         assert!(policy_of("src/lib.rs").panic_path);
     }
 

@@ -351,9 +351,10 @@ impl Fenwick {
 impl PendingSet {
     /// Pending-count bound for the sorted-vector layout; the first insert
     /// past it (or a declared capacity above it) switches the set to the
-    /// Fenwick SoA. Chosen from the acceptance benches: at N ≤ 512 the
-    /// vector wins every point, at N = 4096 the memmoves already lose
-    /// badly, so the crossover sits between.
+    /// Fenwick SoA. At N ≤ 512 the vector is faster, at N = 4096 its
+    /// memmoves already lose badly, so the crossover sits between. The
+    /// ledger's `net.pendingset.*` probes time both layouts: the vector at
+    /// 64 and 1024 pending, the Fenwick SoA at 65536.
     const SMALL_MAX: usize = 1024;
 
     /// Creates an empty set with the given arbitration policy, sized for

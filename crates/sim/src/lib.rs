@@ -55,10 +55,7 @@ pub mod wheel;
 pub use kernel::Kernel;
 pub use rng::{SplitMix64, Xoshiro256PlusPlus};
 pub use series::{Series, SeriesSet};
-pub use stats::{
-    median, median_abs_deviation, nearest_ranks, p50, p95, p99, quantile, Histogram, OnlineStats,
-    Summary,
-};
+pub use stats::{nearest_ranks, p50, p95, p99, quantile, Histogram, OnlineStats, Summary};
 pub use sweep::{derive_seed, Repetitions};
 pub use table::Table;
 

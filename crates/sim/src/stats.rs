@@ -180,53 +180,6 @@ impl FromIterator<f64> for OnlineStats {
     }
 }
 
-/// The median of `values` (midpoint average for even counts), or 0.0 when
-/// empty. Non-finite values are ignored.
-///
-/// This is the bench harness's primary location estimator: unlike the mean
-/// it is robust to the occasional scheduler-induced outlier sample.
-///
-/// # Examples
-///
-/// ```
-/// use abs_sim::stats::median;
-/// assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-/// assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-/// ```
-pub fn median(values: &[f64]) -> f64 {
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare")); // abs-lint: allow(panic-path) -- values were filtered to finite just above
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
-/// The median absolute deviation of `values` about their median
-/// (unscaled), or 0.0 when empty.
-///
-/// # Examples
-///
-/// ```
-/// use abs_sim::stats::median_abs_deviation;
-/// // median = 2, |x - 2| = [1, 0, 1] → MAD = 1.
-/// assert_eq!(median_abs_deviation(&[1.0, 2.0, 3.0]), 1.0);
-/// ```
-pub fn median_abs_deviation(values: &[f64]) -> f64 {
-    let m = median(values);
-    let deviations: Vec<f64> = values
-        .iter()
-        .filter(|x| x.is_finite())
-        .map(|x| (x - m).abs())
-        .collect();
-    median(&deviations)
-}
-
 /// The `q`-quantile of `values` by the **nearest-rank** method
 /// (`q` in `[0, 1]`), or 0.0 when empty. Non-finite values are ignored.
 ///
@@ -286,8 +239,8 @@ pub fn nearest_ranks<const K: usize>(values: &[f64], qs: [f64; K]) -> [f64; K] {
 
 /// The 50th percentile (nearest-rank median) of `values`.
 ///
-/// Note this differs from [`median`] on even counts: nearest rank picks
-/// the lower of the two middle elements instead of averaging them.
+/// On even counts nearest rank picks the lower of the two middle elements
+/// instead of averaging them.
 pub fn p50(values: &[f64]) -> f64 {
     quantile(values, 0.50)
 }
@@ -557,10 +510,9 @@ mod tests {
 
     #[test]
     fn p50_is_lower_middle_on_even_counts() {
-        // Nearest rank never interpolates; median() does.
+        // Nearest rank never interpolates.
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(p50(&v), 2.0);
-        assert_eq!(median(&v), 2.5);
     }
 
     #[test]
@@ -736,38 +688,6 @@ mod tests {
         h.record_n(20, 5);
         assert_eq!(h.total(), 10);
         assert!((h.mean() - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_known_answers() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[7.5]), 7.5);
-        assert_eq!(median(&[2.0, 1.0]), 1.5);
-        assert_eq!(median(&[9.0, 1.0, 5.0]), 5.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        // Robust to one wild outlier.
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0, 1e12]), 3.0);
-        // Non-finite samples are ignored, not propagated.
-        assert_eq!(median(&[1.0, f64::NAN, 3.0]), 2.0);
-        assert_eq!(median(&[f64::INFINITY, 5.0]), 5.0);
-    }
-
-    #[test]
-    fn mad_known_answers() {
-        assert_eq!(median_abs_deviation(&[]), 0.0);
-        assert_eq!(median_abs_deviation(&[42.0]), 0.0);
-        // median = 2, deviations [1, 0, 1] → 1.
-        assert_eq!(median_abs_deviation(&[1.0, 2.0, 3.0]), 1.0);
-        // Constant data has zero spread.
-        assert_eq!(median_abs_deviation(&[5.0; 10]), 0.0);
-        // Textbook example: median 2, deviations [1,0,0,0,2,7] → median 0.5.
-        assert_eq!(
-            median_abs_deviation(&[1.0, 2.0, 2.0, 2.0, 4.0, 9.0]),
-            0.5
-        );
-        // An outlier moves the MAD far less than the standard deviation.
-        let with_outlier = [10.0, 10.0, 10.0, 10.0, 1000.0];
-        assert_eq!(median_abs_deviation(&with_outlier), 0.0);
     }
 
     #[test]

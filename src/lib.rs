@@ -37,8 +37,7 @@
 //!   behind the `loadsweep`/`fairness` exhibits.
 //! * [`insight`] — offline trace analysis: cycle attribution with a
 //!   conservation invariant, barrier episode/critical-path extraction,
-//!   per-tenant SLO timelines, and the perf-regression sentinel
-//!   (`repro analyze`, `repro sentinel`).
+//!   and per-tenant SLO timelines (`repro analyze`).
 //!
 //! # Quick start
 //!
