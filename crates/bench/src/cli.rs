@@ -42,7 +42,7 @@ pub const EXHIBITS: &[(&str, &str)] = &[
     ("snoopy", "Section 2.1: snoopy-bus contrast"),
     ("loadsweep", "Open loop: sync traffic and idle time vs offered load, per backoff policy"),
     ("fairness", "Open loop: per-tenant throughput/latency shares, per scheduler policy"),
-    ("megasweep", "Mega-N: 5N/2 growth and backoff crossover at N = 4096..2^20, plus a sharded single run"),
+    ("megasweep", "Mega-N: 5N/2 growth and backoff crossover at N = 4096..2^20, plus a combining-tree row"),
 ];
 
 /// A fully validated `repro` invocation.

@@ -13,17 +13,16 @@
 //!   narrows per-processor — as the arrival interval grows to
 //!   `A = 1000`, the paper's Figure 7 regime.
 //!
-//! The exhibit caps with one **sharded single run**: a single mega-`N`
-//! episode partitioned into plan-time shards ([`ShardedBarrierSim`],
-//! DESIGN §13) and fanned out over the execution engine when `--jobs`
-//! exceeds 1 — output bit-identical at any worker count.
+//! The exhibit caps with one **combining-tree row**: a single seeded
+//! [`CombiningTreeSim`] episode at the largest grid `N`, with the smallest
+//! grid `N` as the fan-in — the §8 hierarchy the paper says large
+//! barriers need, at the scale where it matters.
 
 use abs_core::{
-    aggregate_runs_with, BackoffPolicy, BarrierConfig, BarrierSim, ShardedBarrierConfig,
-    ShardedBarrierRun, ShardedBarrierSim,
+    aggregate_runs_with, BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig,
+    CombiningRun, CombiningTreeSim,
 };
 use abs_exec::json::Value;
-use abs_exec::{run_shards, Engine, ExecConfig, ShardPlan};
 use abs_model::model1_accesses;
 use abs_sim::table::{fmt_f64, Table};
 
@@ -37,13 +36,13 @@ const GRID_MULTIPLIERS: [usize; 3] = [8, 128, 2048];
 /// Arrival intervals, the paper's two extremes (Figures 5 and 7).
 const SPANS: [u64; 2] = [0, 1_000];
 
-/// One rendered mega-sweep: the flat-grid table, the sharded-run
+/// One rendered mega-sweep: the flat-grid table, the combining-row
 /// summary block, and the JSON artifact `(file name, payload)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MegaExhibit {
     /// The printable flat-grid table.
     pub table: Table,
-    /// The sharded single-run summary appended below the table.
+    /// The combining-row summary appended below the table.
     pub summary: String,
     /// The machine-readable artifact, written into the output directory.
     pub json: (String, String),
@@ -119,37 +118,24 @@ fn flat_rows(config: &ReproConfig) -> Vec<MegaRow> {
         .collect()
 }
 
-/// Evaluates the sharded single run: serially at `--jobs 1`, fanned out
-/// over the engine otherwise. Bit-identical either way — the shard
-/// seeds are fixed at plan time and the merge is an ordered reduction.
-fn sharded_run(config: &ReproConfig, sim: &ShardedBarrierSim) -> ShardedBarrierRun {
-    let kernel = config.kernel;
-    if config.jobs <= 1 {
-        return sim.run_serial(config.seed, kernel);
-    }
-    let engine = Engine::new(ExecConfig::new(config.jobs));
-    let plan = ShardPlan::new(sim.config().n, sim.config().shard_size);
-    let summaries = run_shards(&engine, config.seed, &plan, |shard, _seed| {
-        // The engine derives the same per-shard seed the simulator does;
-        // the simulator's derivation stays the single source of truth.
-        sim.run_shard(config.seed, shard.index, kernel)
-    });
-    sim.merge(config.seed, summaries, kernel)
-}
-
-/// The sharded configuration the exhibit runs: the largest grid `N`
-/// split into shards of the smallest grid `N`, at the wide arrival
-/// interval with the paper's base-2 flag backoff.
-fn sharded_sim(config: &ReproConfig) -> ShardedBarrierSim {
+/// The combining row the exhibit runs: the largest grid `N` under a tree
+/// whose fan-in is the smallest grid `N`, at the wide arrival interval
+/// with the paper's base-2 flag backoff.
+fn combining_sim(config: &ReproConfig) -> CombiningTreeSim {
     let grid = mega_grid(config);
-    ShardedBarrierSim::new(
-        ShardedBarrierConfig::new(grid[2], SPANS[1], grid[0]),
+    CombiningTreeSim::new(
+        CombiningConfig::new(grid[2], SPANS[1], grid[0]),
         BackoffPolicy::exponential(2),
     )
 }
 
-/// The JSON artifact: reproduction parameters, flat rows, sharded run.
-fn mega_json(config: &ReproConfig, rows: &[MegaRow], sharded: &ShardedBarrierRun) -> Value {
+/// The JSON artifact: reproduction parameters, flat rows, combining row.
+fn mega_json(
+    config: &ReproConfig,
+    rows: &[MegaRow],
+    sim: &CombiningTreeSim,
+    combining: &CombiningRun,
+) -> Value {
     let grid = mega_grid(config);
     let json_rows: Vec<Value> = rows
         .iter()
@@ -164,29 +150,19 @@ fn mega_json(config: &ReproConfig, rows: &[MegaRow], sharded: &ShardedBarrierRun
             ])
         })
         .collect();
-    let sharded_obj = Value::Obj(vec![
-        ("n".to_string(), Value::Num(sharded.n() as f64)),
+    let cfg = sim.config();
+    let combining_obj = Value::Obj(vec![
+        ("n".to_string(), Value::Num(cfg.n as f64)),
+        ("degree".to_string(), Value::Num(cfg.degree as f64)),
+        ("nodes".to_string(), Value::Num(combining.nodes() as f64)),
+        ("span".to_string(), Value::Num(cfg.span as f64)),
+        ("policy".to_string(), Value::Str(sim.policy().label())),
+        ("mean_accesses".to_string(), Value::Num(combining.mean_accesses())),
+        ("completion".to_string(), Value::Num(combining.completion() as f64)),
         (
-            "shard_size".to_string(),
-            Value::Num(sharded_sim(config).config().shard_size as f64),
+            "max_module_accesses".to_string(),
+            Value::Num(combining.max_module_accesses() as f64),
         ),
-        ("shards".to_string(), Value::Num(sharded.shards().len() as f64)),
-        ("span".to_string(), Value::Num(SPANS[1] as f64)),
-        (
-            "policy".to_string(),
-            Value::Str(BackoffPolicy::exponential(2).label()),
-        ),
-        ("mean_accesses".to_string(), Value::Num(sharded.mean_accesses())),
-        (
-            "total_accesses".to_string(),
-            Value::Num(sharded.total_accesses() as f64),
-        ),
-        ("queued".to_string(), Value::Num(sharded.queued() as f64)),
-        (
-            "flag_set_spread".to_string(),
-            Value::Num(sharded.flag_set_spread() as f64),
-        ),
-        ("completion".to_string(), Value::Num(sharded.completion() as f64)),
     ]);
     Value::Obj(vec![
         ("exhibit".to_string(), Value::Str("megasweep".to_string())),
@@ -198,16 +174,16 @@ fn mega_json(config: &ReproConfig, rows: &[MegaRow], sharded: &ShardedBarrierRun
             Value::Arr(grid.iter().map(|&n| Value::Num(n as f64)).collect()),
         ),
         ("rows".to_string(), Value::Arr(json_rows)),
-        ("sharded".to_string(), sharded_obj),
+        ("combining".to_string(), combining_obj),
     ])
 }
 
 /// **`megasweep`**: mega-`N` access growth, backoff crossover, and the
-/// sharded single run.
+/// combining-tree row.
 pub fn megasweep(config: &ReproConfig) -> MegaExhibit {
     let rows = flat_rows(config);
-    let sim = sharded_sim(config);
-    let sharded = sharded_run(config, &sim);
+    let sim = combining_sim(config);
+    let combining = sim.run_with(config.seed, config.kernel);
 
     let mut table = Table::new(vec![
         "N",
@@ -242,21 +218,20 @@ pub fn megasweep(config: &ReproConfig) -> MegaExhibit {
 
     let cfg = sim.config();
     let summary = format!(
-        "Sharded single run (DESIGN §13): N = {} in {} shards of {} (A = {}, {}, {} kernel)\n\
-         accesses/proc {} | root span {} | queued {} | completion {} | bit-identical at any --jobs",
+        "Combining-tree row (single seed): N = {} at degree {}, {} nodes (A = {}, {}, {} kernel)\n\
+         accesses/proc {} | completion {} | max module accesses {}",
         cfg.n,
-        cfg.shard_count(),
-        cfg.shard_size,
+        cfg.degree,
+        combining.nodes(),
         cfg.span,
         sim.policy().label(),
         config.kernel.name(),
-        fmt_f64(sharded.mean_accesses(), 2),
-        sharded.flag_set_spread(),
-        sharded.queued(),
-        sharded.completion(),
+        fmt_f64(combining.mean_accesses(), 2),
+        combining.completion(),
+        combining.max_module_accesses(),
     );
 
-    let json = mega_json(config, &rows, &sharded);
+    let json = mega_json(config, &rows, &sim, &combining);
     MegaExhibit {
         table,
         summary,
@@ -316,11 +291,12 @@ mod tests {
             assert_eq!(*e, c);
         }
         // The exhibit embeds the kernel *name* in its summary and JSON,
-        // so compare the numeric content: the table and the sharded run.
+        // so compare the numeric content: the table and the combining row.
         assert_eq!(megasweep(&event).table, megasweep(&cycle).table);
+        let sim = combining_sim(&event);
         assert_eq!(
-            sharded_run(&event, &sharded_sim(&event)),
-            sharded_run(&cycle, &sharded_sim(&cycle))
+            sim.run_with(event.seed, Kernel::Event),
+            sim.run_with(cycle.seed, Kernel::Cycle)
         );
     }
 
@@ -343,7 +319,7 @@ mod tests {
             }
         }
         assert_eq!(exhibit.json.0, "megasweep.json");
-        assert!(exhibit.json.1.contains("\"sharded\""));
-        assert!(exhibit.summary.contains("Sharded single run"));
+        assert!(exhibit.json.1.contains("\"combining\""));
+        assert!(exhibit.summary.contains("Combining-tree row"));
     }
 }

@@ -220,6 +220,30 @@ fn combining_exhaustive_grid_bit_identical() {
 }
 
 #[test]
+fn combining_fenwick_width_bit_identical() {
+    // Nodes wider than `PendingSet::SMALL_MAX` (1024) start their sets in
+    // the Fenwick layout, which the degree ≤ 8 grid above never reaches.
+    // The last cell's final leaf holds 600, so one tree mixes both layouts.
+    let cells = [
+        (4096usize, 2048usize, BackoffPolicy::None, Arbitration::Random, 0u64),
+        (8192, 1500, BackoffPolicy::exponential(2), Arbitration::RoundRobin, 1000),
+        (5000, 1100, BackoffPolicy::exponential(8), Arbitration::OldestFirst, 1000),
+    ];
+    for (n, degree, policy, arb, a) in cells {
+        let sim = CombiningTreeSim::new(
+            CombiningConfig::new(n, a, degree).with_arbitration(arb),
+            policy,
+        );
+        let seed = derive_seed(0xC0DE, (n as u64) << 32 | degree as u64);
+        assert_eq!(
+            sim.run_with(seed, Kernel::Cycle),
+            sim.run_with(seed, Kernel::Event),
+            "{policy:?} {arb:?} N={n} A={a} d={degree} seed={seed}"
+        );
+    }
+}
+
+#[test]
 fn property_combining_kernels_bit_identical() {
     let policies = barrier_policies();
     forall!(Config::with_cases(64), (

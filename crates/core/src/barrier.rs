@@ -39,9 +39,9 @@ use abs_obs::trace::{lane, Noop, TraceSink};
 use abs_sim::bitset::FixedBitset;
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
+use abs_sim::wheel::TimeWheel;
 
 use crate::policy::BackoffPolicy;
-use crate::wheel::TimeWheel;
 
 /// Static parameters of a barrier episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

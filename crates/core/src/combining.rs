@@ -20,22 +20,23 @@
 //! Like [`BarrierSim`](crate::barrier::BarrierSim), the simulator ships two
 //! bit-identical kernels selected by [`Kernel`]: the reference cycle
 //! stepper, which rescans all `N` processors and all nodes every cycle, and
-//! the event-driven skip-ahead kernel, which keeps one
-//! [`PendingSet`] per node module, tracks the set of *active* nodes (any
+//! the event-driven skip-ahead kernel, which keeps one [`PendingSet`] per
+//! node module, keyed by node-local slot so a node's set is sized by its
+//! fan-in rather than by `N`, tracks the set of *active* nodes (any
 //! pending request) in an ordered index, parks dormant processors in a
-//! [`TimeWheel`], and jumps the clock over dead
-//! cycles. Presented-access charges — including the per-module counters
-//! behind [`CombiningRun::max_module_accesses`] — are applied in bulk when
-//! a request leaves its set.
+//! [`TimeWheel`], and jumps the clock over dead cycles. Presented-access
+//! charges — including the per-module counters behind
+//! [`CombiningRun::max_module_accesses`] — are applied in bulk when a
+//! request leaves its set.
 
 use std::collections::BTreeSet;
 
 use abs_net::module::{Arbitration, MemoryModule, PendingSet, Request};
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
+use abs_sim::wheel::TimeWheel;
 
 use crate::policy::BackoffPolicy;
-use crate::wheel::TimeWheel;
 
 /// Static parameters of a combining-tree barrier episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,6 +84,9 @@ struct Node {
     /// Number of participants expected (children count, or leaf group
     /// size).
     expected: usize,
+    /// `degreeᴸ` for a node of level `L` (leaves are level 0): processor
+    /// `p` reaches this node from child slot `(p / stride) % degree`.
+    stride: usize,
     /// Current fetch-and-add count.
     count: usize,
     /// Whether the release flag is set.
@@ -92,9 +96,10 @@ struct Node {
 /// Builds the node list for `n` processors with the given fan-in. Returns
 /// `(nodes, leaf_of_processor)`.
 fn build_tree(n: usize, degree: usize) -> (Vec<Node>, Vec<usize>) {
-    let new_node = |parent, expected| Node {
+    let new_node = |parent, expected, stride| Node {
         parent,
         expected,
+        stride,
         count: 0,
         flag: false,
     };
@@ -107,17 +112,21 @@ fn build_tree(n: usize, degree: usize) -> (Vec<Node>, Vec<usize>) {
     }
     for leaf in 0..leaf_count {
         let members = ((leaf + 1) * degree).min(n) - leaf * degree;
-        nodes.push(new_node(None, members));
+        nodes.push(new_node(None, members, 1));
     }
     // Upper levels: group nodes of the previous level.
     let mut level_start = 0usize;
     let mut level_len = leaf_count;
+    let mut stride = 1usize;
     while level_len > 1 {
+        // A next level exists only while `n > stride · degree`, so the
+        // product cannot overflow.
+        stride *= degree;
         let next_len = level_len.div_ceil(degree);
         let next_start = nodes.len();
         for g in 0..next_len {
             let members = ((g + 1) * degree).min(level_len) - g * degree;
-            nodes.push(new_node(None, members));
+            nodes.push(new_node(None, members, stride));
         }
         for i in 0..level_len {
             nodes[level_start + i].parent = Some(next_start + i / degree);
@@ -207,6 +216,60 @@ fn collect_run(
         completion: done_at.iter().copied().max().unwrap_or(0),
         max_module_accesses,
         nodes,
+    }
+}
+
+/// One module kind (every node's variable, or every node's flag) in the
+/// event kernel: a [`PendingSet`] per node keyed by **node-local slot**,
+/// plus one flat `slot → processor` column and the bulk presented counters.
+///
+/// Processor `p` reaches node `v` only as the climber from child slot
+/// `(p / stride) % degree`, one processor per slot, so the slot key fits in
+/// `expected` entries. Within a node the map is monotone in `p`, so the
+/// k-th smallest slot, the first slot at-or-above a base, and the lowest
+/// slot among equal ages all name the same processor as the global id
+/// would.
+#[derive(Debug)]
+struct NodeSets {
+    degree: usize,
+    pending: Vec<PendingSet>,
+    /// `proc_of[v * degree + slot]`: the processor holding `slot` at `v`.
+    proc_of: Vec<usize>,
+    /// Presented accesses per node module, mirroring the cycle kernel's.
+    presented: Vec<u64>,
+}
+
+impl NodeSets {
+    fn new(nodes: &[Node], arbitration: Arbitration, degree: usize) -> Self {
+        Self {
+            degree,
+            pending: nodes
+                .iter()
+                .map(|nd| PendingSet::new(arbitration, nd.expected))
+                .collect(),
+            proc_of: vec![0; nodes.len() * degree],
+            presented: vec![0; nodes.len()],
+        }
+    }
+
+    /// Enqueues processor `p` at node `v` under its slot there.
+    fn insert(&mut self, nodes: &[Node], v: usize, p: usize, since: u64) {
+        let slot = (p / nodes[v].stride) % self.degree;
+        debug_assert!(slot < nodes[v].expected, "processor {p} outside node {v}");
+        self.insert_at(v, slot, p, since);
+    }
+
+    /// [`Self::insert`] when the caller already knows `p`'s slot at `v`.
+    fn insert_at(&mut self, v: usize, slot: usize, p: usize, since: u64) {
+        self.proc_of[v * self.degree + slot] = p;
+        self.pending[v].insert(Request::new(slot, since));
+    }
+
+    /// Node `v`'s winner this cycle as `(slot, processor)`, if any request
+    /// is pending; the slot keys the winner in `pending[v]`.
+    fn arbitrate(&mut self, v: usize, rng: &mut Xoshiro256PlusPlus) -> Option<(usize, usize)> {
+        let slot = self.pending[v].arbitrate(rng)?;
+        Some((slot, self.proc_of[v * self.degree + slot]))
     }
 }
 
@@ -472,11 +535,12 @@ impl CombiningTreeSim {
 
     /// The event-driven skip-ahead kernel.
     ///
-    /// Per-node [`PendingSet`]s replace the per-cycle staging scan, an
-    /// ordered *active-node* index replaces the all-nodes arbitration loop,
-    /// and dormant processors (future arrivals, `VarWait`/`FlagWait`
-    /// expiries) park in a [`TimeWheel`]. Per busy cycle the work is
-    /// O(active nodes + events), not O(N + nodes).
+    /// Per-node [`PendingSet`]s keyed by node-local slot (see [`NodeSets`])
+    /// replace the per-cycle staging scan, an ordered *active-node* index
+    /// replaces the all-nodes arbitration loop, and dormant processors
+    /// (future arrivals, `VarWait`/`FlagWait` expiries) park in a
+    /// [`TimeWheel`]. Per busy cycle the work is O(active nodes + events),
+    /// not O(N + nodes).
     ///
     /// Bit-identity with the cycle stepper rests on the same three
     /// invariants as the barrier kernel (same busy cycles, same RNG draw
@@ -496,17 +560,9 @@ impl CombiningTreeSim {
         let arrivals = rng.uniform_arrivals(n, self.config.span);
         let (mut nodes, leaf_of) = build_tree(n, self.config.degree);
 
-        let mut var_pending: Vec<PendingSet> = nodes
-            .iter()
-            .map(|nd| PendingSet::new(self.config.arbitration, nd.expected))
-            .collect();
-        let mut flag_pending: Vec<PendingSet> = nodes
-            .iter()
-            .map(|nd| PendingSet::new(self.config.arbitration, nd.expected))
-            .collect();
-        // Bulk presented counters, mirroring each cycle-kernel module.
-        let mut var_presented = vec![0u64; nodes.len()];
-        let mut flag_presented = vec![0u64; nodes.len()];
+        let degree = self.config.degree;
+        let mut var = NodeSets::new(&nodes, self.config.arbitration, degree);
+        let mut flag = NodeSets::new(&nodes, self.config.arbitration, degree);
         // Nodes with at least one pending request, ascending — exactly the
         // nodes whose arbitration could draw this cycle.
         let mut active: BTreeSet<usize> = BTreeSet::new();
@@ -528,7 +584,9 @@ impl CombiningTreeSim {
             wheel.schedule(arrival, id);
         }
         let mut due: Vec<usize> = Vec::new();
-        let mut winners: Vec<(usize, Option<usize>, Option<usize>)> = Vec::new();
+        // (node, variable winner, flag winner), each winner a (slot, proc).
+        type Winner = Option<(usize, usize)>;
+        let mut winners: Vec<(usize, Winner, Winner)> = Vec::new();
 
         while done < n {
             // Activate arrivals and expired waits due this cycle, in id
@@ -539,7 +597,7 @@ impl CombiningTreeSim {
                     Phase::NotArrived => {
                         let node = leaf_of[id];
                         phases[id] = Phase::VarReq { node, since: now };
-                        var_pending[node].insert(Request::new(id, now));
+                        var.insert(&nodes, node, id, now);
                         charge_from[id] = now;
                         active.insert(node);
                     }
@@ -550,7 +608,7 @@ impl CombiningTreeSim {
                             since: now,
                             polls: 0,
                         };
-                        flag_pending[node].insert(Request::new(id, now));
+                        flag.insert(&nodes, node, id, now);
                         charge_from[id] = now;
                         active.insert(node);
                     }
@@ -561,7 +619,7 @@ impl CombiningTreeSim {
                             since: now,
                             polls,
                         };
-                        flag_pending[node].insert(Request::new(id, now));
+                        flag.insert(&nodes, node, id, now);
                         charge_from[id] = now;
                         active.insert(node);
                     }
@@ -578,21 +636,21 @@ impl CombiningTreeSim {
             // nodes never see earlier winners' transitions).
             winners.clear();
             for &v in active.iter() {
-                let var_winner = var_pending[v].arbitrate(&mut rng);
-                let flag_winner = flag_pending[v].arbitrate(&mut rng);
+                let var_winner = var.arbitrate(v, &mut rng);
+                let flag_winner = flag.arbitrate(v, &mut rng);
                 winners.push((v, var_winner, flag_winner));
             }
 
             // Apply the winners' transitions in the same node order.
             for &(v, var_winner, flag_winner) in &winners {
-                if let Some(winner) = var_winner {
-                    var_pending[v].remove(winner);
+                if let Some((slot, winner)) = var_winner {
+                    var.pending[v].remove(slot);
                     // Presented on every cycle since enqueue, served or
                     // denied — charged to the processor and to the node's
                     // variable module alike.
                     let span = now - charge_from[winner] + 1;
                     accesses[winner] += span;
-                    var_presented[v] += span;
+                    var.presented[v] += span;
                     nodes[v].count += 1;
                     let i = nodes[v].count;
                     let expected = nodes[v].expected;
@@ -604,7 +662,7 @@ impl CombiningTreeSim {
                                     node: parent,
                                     since: now + 1,
                                 };
-                                var_pending[parent].insert(Request::new(winner, now + 1));
+                                var.insert(&nodes, parent, winner, now + 1);
                                 charge_from[winner] = now + 1;
                                 active.insert(parent);
                             }
@@ -613,7 +671,7 @@ impl CombiningTreeSim {
                                 phases[winner] = Phase::Release { since: now + 1 };
                                 let target = v;
                                 debug_assert_eq!(owned[winner].last(), Some(&target));
-                                flag_pending[target].insert(Request::new(winner, now + 1));
+                                flag.insert(&nodes, target, winner, now + 1);
                                 charge_from[winner] = now + 1;
                                 active.insert(target);
                             }
@@ -626,7 +684,8 @@ impl CombiningTreeSim {
                                 since: now + 1,
                                 polls: 0,
                             };
-                            flag_pending[v].insert(Request::new(winner, now + 1));
+                            // Same node, same slot.
+                            flag.insert_at(v, slot, winner, now + 1);
                             charge_from[winner] = now + 1;
                         } else {
                             phases[winner] = Phase::VarWait {
@@ -638,13 +697,13 @@ impl CombiningTreeSim {
                     }
                 }
 
-                if let Some(winner) = flag_winner {
+                if let Some((slot, winner)) = flag_winner {
                     match phases[winner] {
                         Phase::Release { .. } => {
-                            flag_pending[v].remove(winner);
+                            flag.pending[v].remove(slot);
                             let span = now - charge_from[winner] + 1;
                             accesses[winner] += span;
-                            flag_presented[v] += span;
+                            flag.presented[v] += span;
                             nodes[v].flag = true;
                             owned[winner].pop();
                             if owned[winner].is_empty() {
@@ -656,7 +715,7 @@ impl CombiningTreeSim {
                                 let target = *owned[winner]
                                     .last()
                                     .expect("non-empty just checked"); // abs-lint: allow(panic-path) -- the is_empty branch above rules this out
-                                flag_pending[target].insert(Request::new(winner, now + 1));
+                                flag.insert(&nodes, target, winner, now + 1);
                                 charge_from[winner] = now + 1;
                                 active.insert(target);
                             }
@@ -664,10 +723,10 @@ impl CombiningTreeSim {
                         Phase::FlagPoll { node, polls, .. } => {
                             debug_assert_eq!(node, v);
                             if nodes[v].flag {
-                                flag_pending[v].remove(winner);
+                                flag.pending[v].remove(slot);
                                 let span = now - charge_from[winner] + 1;
                                 accesses[winner] += span;
-                                flag_presented[v] += span;
+                                flag.presented[v] += span;
                                 // Released: propagate down whatever we own.
                                 if owned[winner].is_empty() {
                                     phases[winner] = Phase::Done;
@@ -678,7 +737,7 @@ impl CombiningTreeSim {
                                     let target = *owned[winner]
                                         .last()
                                         .expect("non-empty just checked"); // abs-lint: allow(panic-path) -- the is_empty branch above rules this out
-                                    flag_pending[target].insert(Request::new(winner, now + 1));
+                                    flag.insert(&nodes, target, winner, now + 1);
                                     charge_from[winner] = now + 1;
                                     active.insert(target);
                                 }
@@ -699,13 +758,13 @@ impl CombiningTreeSim {
                                             since: now + 1,
                                             polls,
                                         };
-                                        flag_pending[v].refresh(winner, now + 1);
+                                        flag.pending[v].refresh(slot, now + 1);
                                     }
                                     Some(d) => {
-                                        flag_pending[v].remove(winner);
+                                        flag.pending[v].remove(slot);
                                         let span = now - charge_from[winner] + 1;
                                         accesses[winner] += span;
-                                        flag_presented[v] += span;
+                                        flag.presented[v] += span;
                                         phases[winner] = Phase::FlagWait {
                                             node: v,
                                             until: now + 1 + d,
@@ -723,7 +782,7 @@ impl CombiningTreeSim {
                 // Later winners in this cycle may still re-activate `v`
                 // (a release or climb inserting at `now + 1` calls
                 // `active.insert` again), so deactivating eagerly is safe.
-                if var_pending[v].is_empty() && flag_pending[v].is_empty() {
+                if var.pending[v].is_empty() && flag.pending[v].is_empty() {
                     active.remove(&v);
                 }
             }
@@ -740,9 +799,9 @@ impl CombiningTreeSim {
             }
         }
 
-        let max_module_accesses = var_presented
+        let max_module_accesses = var.presented
             .iter()
-            .chain(flag_presented.iter())
+            .chain(flag.presented.iter())
             .copied()
             .max()
             .unwrap_or(0);
@@ -768,6 +827,8 @@ mod tests {
         // 4 leaves + 2 + 1 root = 7 nodes.
         assert_eq!(nodes.len(), 7);
         assert_eq!(leaf_of, [0, 0, 1, 1, 2, 2, 3, 3]);
+        let strides: Vec<usize> = nodes.iter().map(|n| n.stride).collect();
+        assert_eq!(strides, [1, 1, 1, 1, 2, 2, 4]);
         assert!(nodes.last().unwrap().parent.is_none());
         assert!(nodes[..6].iter().all(|n| n.parent.is_some()));
     }

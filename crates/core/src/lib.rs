@@ -47,10 +47,8 @@ pub mod combining;
 pub mod metrics;
 pub mod policy;
 pub mod resource;
-pub mod sharded;
 pub mod single;
 pub mod traffic;
-pub mod wheel;
 
 pub use abs_sim::kernel::Kernel;
 pub use barrier::{BarrierConfig, BarrierRun, BarrierSim};
@@ -58,6 +56,5 @@ pub use combining::{CombiningConfig, CombiningRun, CombiningTreeSim};
 pub use metrics::{aggregate_runs, aggregate_runs_with, BarrierAggregate};
 pub use policy::BackoffPolicy;
 pub use resource::{ResourceConfig, ResourcePolicy, ResourceRun, ResourceSim};
-pub use sharded::{ShardSummary, ShardedBarrierConfig, ShardedBarrierRun, ShardedBarrierSim};
 pub use single::{SingleCounterRun, SingleCounterSim};
 pub use traffic::{amortized_traffic, TrafficEstimate};

@@ -22,8 +22,7 @@
 use abs_net::module::{Arbitration, MemoryModule, PendingSet, Request};
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
-
-use crate::wheel::TimeWheel;
+use abs_sim::wheel::TimeWheel;
 
 /// Backoff policy while the resource is observed held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -21,10 +21,10 @@
 use abs_net::module::{MemoryModule, PendingSet, Request};
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
+use abs_sim::wheel::TimeWheel;
 
 use crate::barrier::BarrierConfig;
 use crate::policy::BackoffPolicy;
-use crate::wheel::TimeWheel;
 
 /// Result of one single-counter barrier episode.
 #[derive(Debug, Clone, PartialEq)]

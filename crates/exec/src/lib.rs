@@ -27,9 +27,6 @@
 //! * [`run_repetitions`] — the parallel path for
 //!   [`abs_sim::sweep::Repetitions`], bit-for-bit equal to its sequential
 //!   `run`.
-//! * [`ShardPlan`] / [`run_shards`] — deterministic intra-run sharding:
-//!   one giant simulation partitioned into plan-time shards with derived
-//!   seeds and an ordered merge, so `--jobs N` accelerates a *single* run.
 //!
 //! # Determinism contract
 //!
@@ -64,10 +61,8 @@ pub mod job;
 pub mod json;
 pub mod manifest;
 pub mod reps;
-pub mod shard;
 
 pub use engine::{available_parallelism, Engine, ExecConfig, ExecError, RunReport, WorkerStats};
 pub use job::{Job, JobFailure, JobOutcome, JobSet, JobStats};
 pub use manifest::{git_commit, JobRecord, JobStatus, RunManifest};
 pub use reps::run_repetitions;
-pub use shard::{run_shards, Shard, ShardPlan};
