@@ -293,7 +293,6 @@ fn run(options: CliOptions) -> ExitCode {
             name: outcome.name.clone(),
             seed: outcome.seed,
             status,
-            attempts: outcome.stats.attempts,
             wall_ms: outcome.stats.wall.as_secs_f64() * 1e3,
             queue_ms: outcome.stats.queue_wait.as_secs_f64() * 1e3,
             artifact,

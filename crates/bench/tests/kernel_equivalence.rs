@@ -158,14 +158,19 @@ fn packet_exhaustive_policies_bit_identical() {
         memory_service_cycles: 2,
         max_outstanding: 2,
     };
-    for policy in packet_policies() {
-        let sim = PacketSim::new(cfg, policy);
-        for seed in 0..3u64 {
-            assert_eq!(
-                sim.run_with(seed, Kernel::Cycle),
-                sim.run_with(seed, Kernel::Event),
-                "{policy:?} seed={seed}"
-            );
+    // 16 ports fit one bitset word; 128 ports span two, so the event
+    // kernel's ascending scans cross a word boundary.
+    for (log2_size, seeds) in [(4, 0..3u64), (7, 0..1u64)] {
+        let cfg = PacketConfig { log2_size, ..cfg };
+        for policy in packet_policies() {
+            let sim = PacketSim::new(cfg, policy);
+            for seed in seeds.clone() {
+                assert_eq!(
+                    sim.run_with(seed, Kernel::Cycle),
+                    sim.run_with(seed, Kernel::Event),
+                    "{policy:?} log2_size={log2_size} seed={seed}"
+                );
+            }
         }
     }
 }

@@ -8,8 +8,8 @@
 //! worker may exit once its own deque is empty and a full victim scan finds
 //! nothing — no condvar, no spinning.
 //!
-//! Each worker executes its jobs under [`std::panic::catch_unwind`] with
-//! bounded retry and accumulates `(id, outcome)` pairs *locally*; outcomes
+//! Each worker executes its jobs under [`std::panic::catch_unwind`] and
+//! accumulates `(id, outcome)` pairs *locally*; outcomes
 //! are merged into id-indexed slots only after every worker has joined, so
 //! the result path takes no locks at all. Because every job's seed is
 //! fixed at push time and outcomes are committed by id, the returned
@@ -24,40 +24,28 @@ use std::time::{Duration, Instant};
 
 use crate::job::{JobFailure, JobOutcome, JobSet, JobStats};
 
-/// Sizing and robustness knobs for an [`Engine`].
+/// Sizing of an [`Engine`]'s pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Number of worker threads (at least 1; clamped to the job count at
     /// run time).
     pub workers: usize,
-    /// How many times a panicking job is re-executed before it is reported
-    /// as failed.
-    pub retries: u32,
 }
 
 impl ExecConfig {
-    /// A pool of `workers` threads with no retries.
+    /// A pool of `workers` threads.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "at least one worker is required");
-        Self {
-            workers,
-            retries: 0,
-        }
+        Self { workers }
     }
 
     /// One worker per available hardware thread (fallback: 1).
     pub fn host_parallelism() -> Self {
         Self::new(available_parallelism())
-    }
-
-    /// Sets the bounded retry count.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
     }
 }
 
@@ -114,14 +102,14 @@ impl Engine {
     /// Executes every job in `set` and returns the outcomes in job-id
     /// order.
     ///
-    /// Panicking jobs are retried up to `retries` times and then reported
-    /// as [`JobFailure`]s in their slot; the other jobs' results are
-    /// unaffected. The call itself never panics because of a job panic.
+    /// A panicking job is reported as a [`JobFailure`] in its slot; the
+    /// other jobs' results are unaffected. Jobs are seeded and
+    /// deterministic, so a panic is not retried: it would recur. The call
+    /// itself never panics because of a job panic.
     pub fn run<T: Send>(&self, set: JobSet<'_, T>) -> RunReport<T> {
         let jobs = set.into_jobs();
         let n = jobs.len();
         let workers = self.config.workers.min(n).max(1);
-        let retries = self.config.retries;
         let start = Instant::now();
 
         let injector = Injector::new(n, workers);
@@ -141,26 +129,15 @@ impl Engine {
                             for idx in chunk {
                                 let queue_wait = start.elapsed();
                                 let exec_start = Instant::now();
-                                let mut attempts = 0u32;
-                                let result = loop {
-                                    attempts += 1;
-                                    match catch_unwind(AssertUnwindSafe(|| jobs[idx].execute())) {
-                                        Ok(value) => break Ok(value),
-                                        Err(payload) if attempts > retries => {
-                                            break Err(JobFailure {
-                                                attempts,
-                                                message: panic_message(payload.as_ref()),
-                                            })
-                                        }
-                                        Err(_) => {} // retry
-                                    }
-                                };
+                                let result = catch_unwind(AssertUnwindSafe(|| jobs[idx].execute()))
+                                    .map_err(|payload| JobFailure {
+                                        message: panic_message(payload.as_ref()),
+                                    });
                                 let wall = exec_start.elapsed();
                                 busy += wall;
                                 let stats = JobStats {
                                     queue_wait,
                                     wall,
-                                    attempts,
                                     worker,
                                 };
                                 done.push((idx, result, stats));
@@ -425,17 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_counts_attempts() {
-        let mut set = JobSet::new(0);
-        set.push("boom", |_| -> u64 { panic!("always") });
-        let report = Engine::new(ExecConfig::new(1).with_retries(2)).run(set);
-        let failure = report.outcomes[0].result.as_ref().unwrap_err();
-        assert_eq!(failure.attempts, 3);
-        assert_eq!(failure.message, "always");
-        assert_eq!(report.outcomes[0].stats.attempts, 3);
-    }
-
-    #[test]
     fn utilization_is_a_fraction() {
         let mut set = JobSet::new(0);
         for i in 0..4 {
@@ -515,12 +481,11 @@ mod tests {
                 i
             });
         }
-        let report = Engine::new(ExecConfig::new(4).with_retries(1)).run(set);
+        let report = Engine::new(ExecConfig::new(4)).run(set);
         assert_eq!(report.ok_count(), 63);
         let failed = report.failed();
         assert_eq!(failed.len(), 1);
         assert_eq!(failed[0].id, 23);
-        assert_eq!(failed[0].stats.attempts, 2);
         for outcome in &report.outcomes {
             if outcome.id != 23 {
                 assert_eq!(*outcome.result.as_ref().unwrap(), outcome.id as u64);

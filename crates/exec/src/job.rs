@@ -12,8 +12,8 @@ use std::time::Duration;
 
 /// One schedulable unit of work producing a `T`.
 ///
-/// The closure must be `Fn` (not `FnOnce`) so a panicking job can be
-/// retried, and `Send + Sync` so workers can share the job table.
+/// The closure must be `Fn` (not `FnOnce`) and `Send + Sync` so workers
+/// can run it through the shared job table.
 pub struct Job<'scope, T> {
     id: usize,
     name: String,
@@ -151,18 +151,16 @@ impl<T> std::fmt::Debug for JobSet<'_, T> {
     }
 }
 
-/// Why a job did not produce a value: every attempt panicked.
+/// Why a job did not produce a value: it panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
-    /// Attempts made (1 + configured retries).
-    pub attempts: u32,
-    /// The final attempt's panic message.
+    /// The panic message.
     pub message: String,
 }
 
 impl std::fmt::Display for JobFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "failed after {} attempt(s): {}", self.attempts, self.message)
+        write!(f, "panicked: {}", self.message)
     }
 }
 
@@ -171,10 +169,8 @@ impl std::fmt::Display for JobFailure {
 pub struct JobStats {
     /// Time from engine start to this job being dequeued by a worker.
     pub queue_wait: Duration,
-    /// Wall time spent executing the job (summed over attempts).
+    /// Wall time spent executing the job.
     pub wall: Duration,
-    /// Attempts made (> 1 only when earlier attempts panicked).
-    pub attempts: u32,
     /// Index of the worker that ran the job.
     pub worker: usize,
 }
@@ -189,7 +185,7 @@ pub struct JobOutcome<T> {
     pub name: String,
     /// The seed the job received.
     pub seed: u64,
-    /// The produced value, or the failure after all attempts panicked.
+    /// The produced value, or the failure if the job panicked.
     pub result: Result<T, JobFailure>,
     /// Scheduling/execution counters.
     pub stats: JobStats,

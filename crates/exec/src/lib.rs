@@ -13,13 +13,11 @@
 //! * [`JobSet`] / [`Job`] — units of work with stable ids; each job's seed
 //!   is derived from the set's master seed and the job id via
 //!   [`abs_sim::sweep::derive_seed`], never from scheduling.
-//! * [`Engine`] — the pool ([`ExecConfig`]: worker count, bounded retry).
-//!   Jobs run under `catch_unwind`; a panicking job is retried and then
-//!   reported as a [`JobFailure`] in its slot while every other job's
-//!   result stands ([`RunReport`]).
+//! * [`Engine`] — the pool ([`ExecConfig`]: worker count). Jobs run under
+//!   `catch_unwind`; a panicking job is reported as a [`JobFailure`] in
+//!   its slot while every other job's result stands ([`RunReport`]).
 //! * [`RunReport`] — outcomes in id order plus observability: per-job wall
-//!   time, queue wait, and attempt counts, and per-worker busy time and
-//!   utilization.
+//!   time and queue wait, and per-worker busy time and utilization.
 //! * [`RunManifest`] — a JSON record of seed, config, git commit, and
 //!   per-job status written beside the run's artifacts; a later run with
 //!   the same seed/config can load it and **resume**, skipping completed
@@ -32,7 +30,7 @@
 //!
 //! For any job set whose closures are pure functions of their seed, the
 //! value sequence returned by [`RunReport::into_values`] is independent of
-//! `workers`, retry configuration, and scheduling. Only the timing counters
+//! `workers` and scheduling. Only the timing counters
 //! (and the manifest fields recording them) vary between runs.
 //!
 //! # Examples

@@ -38,8 +38,6 @@ pub struct JobRecord {
     pub seed: u64,
     /// Terminal status.
     pub status: JobStatus,
-    /// Attempts made.
-    pub attempts: u32,
     /// Execution wall time in milliseconds.
     pub wall_ms: f64,
     /// Queue wait in milliseconds.
@@ -148,7 +146,6 @@ impl RunManifest {
                 Ok(_) => JobStatus::Ok,
                 Err(f) => JobStatus::Failed(f.message.clone()),
             },
-            attempts: outcome.stats.attempts,
             wall_ms: outcome.stats.wall.as_secs_f64() * 1e3,
             queue_ms: outcome.stats.queue_wait.as_secs_f64() * 1e3,
             artifact,
@@ -199,7 +196,6 @@ impl RunManifest {
                     ("seed".into(), Value::Str(format!("{:#x}", j.seed))),
                     ("status".into(), Value::Str(status)),
                     ("error".into(), error),
-                    ("attempts".into(), Value::Num(f64::from(j.attempts))),
                     ("wall_ms".into(), Value::Num(round3(j.wall_ms))),
                     ("queue_ms".into(), Value::Num(round3(j.queue_ms))),
                     (
@@ -335,8 +331,6 @@ fn parse_job(v: &Value) -> Result<JobRecord, String> {
         name: str_field(v, "name")?,
         seed: seed_field(v, "seed")?,
         status,
-        attempts: u32::try_from(v.get("attempts").and_then(Value::as_f64).unwrap_or(1.0) as u64)
-            .unwrap_or(u32::MAX),
         wall_ms: v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
         queue_ms: v.get("queue_ms").and_then(Value::as_f64).unwrap_or(0.0),
         artifact: v
@@ -383,7 +377,6 @@ mod tests {
             name: "fig5".into(),
             seed: u64::MAX,
             status: JobStatus::Ok,
-            attempts: 1,
             wall_ms: 3.25,
             queue_ms: 0.125,
             artifact: Some("fig5.csv".into()),
@@ -393,7 +386,6 @@ mod tests {
             name: "fig6".into(),
             seed: 7,
             status: JobStatus::Failed("index out of bounds".into()),
-            attempts: 2,
             wall_ms: 1.0,
             queue_ms: 0.0,
             artifact: None,

@@ -15,9 +15,9 @@ use crate::job::JobSet;
 /// Runs `reps` repetitions of `experiment` on `engine` and aggregates them.
 ///
 /// Equivalent to `reps.run(experiment)` — same seeds, same fold order —
-/// but executed on the worker pool. A repetition that panics (after the
-/// engine's bounded retries) is reported as an [`ExecError`] naming the
-/// repetition, instead of tearing down the caller.
+/// but executed on the worker pool. A repetition that panics is reported
+/// as an [`ExecError`] naming the repetition, instead of tearing down the
+/// caller.
 ///
 /// # Examples
 ///

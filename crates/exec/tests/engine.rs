@@ -148,7 +148,6 @@ fn observability_counters_are_populated() {
     let report = Engine::new(ExecConfig::new(2)).run(seeded_set(3, 20));
     assert_eq!(report.outcomes.len(), 20);
     for outcome in &report.outcomes {
-        assert_eq!(outcome.stats.attempts, 1);
         assert!(outcome.stats.worker < 2);
         assert!(outcome.stats.queue_wait <= report.elapsed);
     }

@@ -23,7 +23,7 @@
 //!    processor id wins, losers back off under the configured
 //!    [`BackoffPolicy`] (`retry = now + 1 + delay`). Flag spins poll a
 //!    deterministic external flag; RMW reads are unserialized. Every
-//!    presented attempt is charged to the [`MemorySystem`].
+//!    presented attempt counts toward `sync_accesses`.
 //! 3. **Completions** — jobs whose local work finishes release their
 //!    processor and report their measured service to the scheduler
 //!    (`SchedPolicy::on_complete`, feeding CFS runtime accounting).
@@ -48,7 +48,6 @@ use abs_obs::trace::{lane, TraceSink};
 use abs_sim::kernel::Kernel;
 use abs_sim::stats::{nearest_ranks, OnlineStats};
 use abs_sim::wheel::TimeWheel;
-use abs_trace::ops::{CountingConsumer, MemorySystem, RefKind, SYNC_BASE};
 use abs_trace::sched::SchedKind;
 
 use crate::tenant::{generate_stream, Job, OpKind, Tenant};
@@ -235,9 +234,7 @@ impl OpenLoopSim {
         &self.tenants
     }
 
-    /// The job stream this engine replays for `seed` — exposed so callers
-    /// can feed the identical stream elsewhere (e.g. into
-    /// `PacketSim` ports via [`crate::feed::port_feed`]).
+    /// The job stream this engine replays for `seed`.
     pub fn stream(&self, seed: u64) -> Vec<Job> {
         generate_stream(&self.tenants, self.config.vars, self.config.horizon, seed)
     }
@@ -252,21 +249,8 @@ impl OpenLoopSim {
         self.run_traced_with(seed, &mut abs_obs::trace::Noop, kernel)
     }
 
-    /// Runs with a trace sink, counting accesses internally.
-    pub fn run_traced_with<S: TraceSink>(
-        &self,
-        seed: u64,
-        sink: &mut S,
-        kernel: Kernel,
-    ) -> LoadOutcome {
-        let mut mem = CountingConsumer::new();
-        self.run_traced_memory_with(seed, sink, &mut mem, kernel)
-    }
-
     /// The canonical entry point: runs the stream for `seed` under
-    /// `kernel`, tracing into `sink` and charging every presented sync
-    /// access to `mem` (`mem.tick(now)` fires once per cycle that
-    /// presented at least one access).
+    /// `kernel`, tracing into `sink`.
     ///
     /// Trace layout: per-job spans named by op on the processor's lane
     /// (`tid == p`), `admit` instants carrying the admission wait,
@@ -277,11 +261,10 @@ impl OpenLoopSim {
     /// cycle), a `backoff` span over each failed attempt's wait, an
     /// `rmw-read` instant on each RMW read leg, and a `truncated` instant
     /// ahead of every span force-closed at the horizon.
-    pub fn run_traced_memory_with<S: TraceSink, M: MemorySystem>(
+    pub fn run_traced_with<S: TraceSink>(
         &self,
         seed: u64,
         sink: &mut S,
-        mem: &mut M,
         kernel: Kernel,
     ) -> LoadOutcome {
         let cfg = &self.config;
@@ -348,7 +331,6 @@ impl OpenLoopSim {
             }
 
             let mut active = false;
-            let mut accessed = false;
 
             // 1. Arrivals, in stream order.
             while let Some(&job) = jobs.get(next_arrival).filter(|job| job.arrive <= now) {
@@ -368,9 +350,7 @@ impl OpenLoopSim {
                 match state[p] {
                     ProcState::Faa { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, true, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if Self::claim(&mut var_claim, &mut touched, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -385,9 +365,7 @@ impl OpenLoopSim {
                     }
                     ProcState::Spin { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, false, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if self.flag_set(now, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -401,21 +379,16 @@ impl OpenLoopSim {
                         }
                     }
                     ProcState::RmwRead { ji, attempts } => {
-                        let job = jobs[ji];
                         // The read half is unserialized: it always
                         // completes, and the CAS presents next cycle.
-                        mem.access(p, SYNC_BASE + job.var as u64, false, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         state[p] = ProcState::RmwCas { ji, attempts };
                         attempts_wheel.schedule(now + 1, p);
                         sink.instant(lane(p), now, "rmw-read", &[]);
                     }
                     ProcState::RmwCas { ji, attempts } => {
                         let job = jobs[ji];
-                        mem.access(p, SYNC_BASE + job.var as u64, true, RefKind::Sync);
                         sync_accesses = sync_accesses.saturating_add(1);
-                        accessed = true;
                         if Self::claim(&mut var_claim, &mut touched, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -498,9 +471,6 @@ impl OpenLoopSim {
             }
             touched.clear();
 
-            if accessed {
-                mem.tick(now);
-            }
             if active {
                 queue_depth.push(pending_by_tenant.iter().sum::<u64>() as f64);
                 if sink.enabled() {
@@ -738,20 +708,6 @@ mod tests {
         );
         let per_tenant: u64 = o.tenants.iter().map(|t| t.completed).sum();
         assert_eq!(per_tenant, o.completed);
-    }
-
-    #[test]
-    fn memory_system_sees_every_presented_access() {
-        let sim = quick_sim(SchedKind::Cfs, BackoffPolicy::exponential(2));
-        let mut mem = CountingConsumer::new();
-        let o = sim.run_traced_memory_with(
-            2,
-            &mut abs_obs::trace::Noop,
-            &mut mem,
-            Kernel::Event,
-        );
-        assert_eq!(mem.sync(), o.sync_accesses);
-        assert_eq!(mem.total(), o.sync_accesses, "engine traffic is all sync");
     }
 
     #[test]

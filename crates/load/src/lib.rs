@@ -19,13 +19,8 @@
 //!   simulated processors through a pluggable admission scheduler
 //!   ([`abs_trace::sched::SchedPolicy`]: round-robin, strict-priority,
 //!   CFS-style) and the paper's serialized sync-variable memory model,
-//!   under either simulation [`abs_sim::Kernel`], charging every access
-//!   to an [`abs_trace::ops::MemorySystem`] and tracing through
+//!   under either simulation [`abs_sim::Kernel`], tracing through
 //!   `abs-obs`.
-//!
-//! [`feed`] additionally maps a stream onto `PacketSim`'s input ports
-//! ([`abs_net::PortFeed`]), so the identical offered load can be studied
-//! at the network level.
 //!
 //! # Determinism
 //!
@@ -53,10 +48,8 @@
 
 pub mod arrival;
 pub mod engine;
-pub mod feed;
 pub mod tenant;
 
 pub use arrival::{Arrival, ArrivalProcess, Bursty, Diurnal, FixedRate, Poisson};
 pub use engine::{LoadConfig, LoadOutcome, OpenLoopSim, TenantOutcome};
-pub use feed::port_feed;
 pub use tenant::{generate_stream, Job, OpKind, OpMix, Tenant};

@@ -36,4 +36,4 @@ pub use circuit::{CircuitConfig, CircuitOutcome, CircuitSim};
 pub use hotspot::HotspotTraffic;
 pub use module::{Arbitration, MemoryModule, Request};
 pub use omega::OmegaTopology;
-pub use packet::{PacketConfig, PacketOutcome, PacketSim, PortFeed};
+pub use packet::{PacketConfig, PacketOutcome, PacketSim};

@@ -29,6 +29,7 @@
 use std::collections::VecDeque;
 
 use abs_obs::trace::{lane, Noop, TraceSink};
+use abs_sim::bitset::FixedBitset;
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
 use abs_sim::stats::OnlineStats;
@@ -235,67 +236,14 @@ impl PacketSim {
         kernel: Kernel,
     ) -> PacketOutcome {
         match kernel {
-            Kernel::Cycle => self.run_cycle_kernel(seed, sink, None),
-            Kernel::Event => self.run_event_kernel(seed, sink, None),
-        }
-    }
-
-    /// Runs the simulation open-loop: instead of Bernoulli generation,
-    /// each processor injects the pre-scheduled arrivals of `feed`, in
-    /// order, as soon as it is free. See [`Self::run_fed_traced_with`].
-    pub fn run_fed(&self, seed: u64, feed: &PortFeed) -> PacketOutcome {
-        self.run_fed_traced_with(seed, feed, &mut Noop, Kernel::default())
-    }
-
-    /// [`run_fed`](Self::run_fed) under an explicit [`Kernel`].
-    pub fn run_fed_with(&self, seed: u64, feed: &PortFeed, kernel: Kernel) -> PacketOutcome {
-        self.run_fed_traced_with(seed, feed, &mut Noop, kernel)
-    }
-
-    /// Runs open-loop from a [`PortFeed`], tracing into `sink`.
-    ///
-    /// Feed mode replaces the generation phase only: an arrival `(t, dst)`
-    /// becomes this processor's pending request on the first cycle `>= t`
-    /// where the processor has no pending request and spare outstanding
-    /// capacity, with `issued = t` so measured latency includes the time
-    /// the request queued at the port. `injection_rate` and `hot_fraction`
-    /// are ignored (destinations come pre-drawn); switch arbitration still
-    /// consumes the seeded RNG, and both kernels stay bit-identical — the
-    /// event kernel's skip-ahead jumps to the next arrival or retry, or to
-    /// the end of the run once the feed is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the feed's port count does not match the network size.
-    pub fn run_fed_traced_with<S: TraceSink>(
-        &self,
-        seed: u64,
-        feed: &PortFeed,
-        sink: &mut S,
-        kernel: Kernel,
-    ) -> PacketOutcome {
-        let n = OmegaTopology::new(self.config.log2_size).size();
-        assert!(
-            feed.ports() == n,
-            "feed has {} ports but the network has {n}",
-            feed.ports()
-        );
-        match kernel {
-            Kernel::Cycle => self.run_cycle_kernel(seed, sink, Some(feed)),
-            Kernel::Event => self.run_event_kernel(seed, sink, Some(feed)),
+            Kernel::Cycle => self.run_cycle_kernel(seed, sink),
+            Kernel::Event => self.run_event_kernel(seed, sink),
         }
     }
 
     /// The reference cycle stepper: O(stages × ports) work per simulated
-    /// cycle, scanning every port whether occupied or not. With
-    /// `feed: Some(..)` the generation phase consumes pre-scheduled
-    /// arrivals instead of drawing the RNG.
-    fn run_cycle_kernel<S: TraceSink>(
-        &self,
-        seed: u64,
-        sink: &mut S,
-        feed: Option<&PortFeed>,
-    ) -> PacketOutcome {
+    /// cycle, scanning every port whether occupied or not.
+    fn run_cycle_kernel<S: TraceSink>(&self, seed: u64, sink: &mut S) -> PacketOutcome {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
         let stages = topo.stages();
@@ -320,8 +268,6 @@ impl PacketSim {
         let mut claim: Vec<Option<usize>> = vec![None; n];
         // Memory-module service completion times.
         let mut busy_until: Vec<u64> = vec![0; n];
-        // Feed mode: next unconsumed arrival per port.
-        let mut cursor: Vec<usize> = vec![0; n];
 
         for now in 1..=total {
             let measuring = now > self.config.warmup_cycles;
@@ -386,36 +332,18 @@ impl PacketSim {
                 }
             }
 
-            // 3. Generate new requests: Bernoulli draws closed-loop, the
-            //    next due pre-scheduled arrival open-loop (no RNG).
+            // 3. Generate new requests: each idle processor draws.
             for p in 0..n {
                 if pending[p].is_some() || inflight[p] >= self.config.max_outstanding {
                     continue;
                 }
-                match feed {
-                    None => {
-                        if rng.next_bool(self.config.injection_rate) {
-                            pending[p] = Some(PendingReq {
-                                dst: traffic.destination(&mut rng),
-                                issued: now,
-                                retry_at: now,
-                                retries: 0,
-                            });
-                        }
-                    }
-                    Some(feed) => {
-                        if let Some(&(t, dst)) = feed.next(p, cursor[p]) {
-                            if t <= now {
-                                cursor[p] += 1;
-                                pending[p] = Some(PendingReq {
-                                    dst,
-                                    issued: t,
-                                    retry_at: now,
-                                    retries: 0,
-                                });
-                            }
-                        }
-                    }
+                if rng.next_bool(self.config.injection_rate) {
+                    pending[p] = Some(PendingReq {
+                        dst: traffic.destination(&mut rng),
+                        issued: now,
+                        retry_at: now,
+                        retries: 0,
+                    });
                 }
             }
 
@@ -522,7 +450,7 @@ impl PacketSim {
     /// where the network is empty and every processor is backed off.
     ///
     /// Bit-identity with the cycle stepper hinges on iteration order: the
-    /// occupancy sets ([`PortSet`]) iterate ascending, reproducing the
+    /// occupancy sets ([`FixedBitset`]) iterate ascending, reproducing the
     /// stepper's `for p in 0..n` scans exactly, so collision coin flips and
     /// injection draws consume the RNG in the same sequence. A cycle is
     /// skippable only when it performs no RNG draw and no state change: no
@@ -534,12 +462,7 @@ impl PacketSim {
     /// rows — all-zero collisions, depths and hot-queue occupancy, in the
     /// stepper's exact emission order — are emitted in bulk, so traces stay
     /// byte-identical while the per-cycle port scans are still skipped.
-    fn run_event_kernel<S: TraceSink>(
-        &self,
-        seed: u64,
-        sink: &mut S,
-        feed: Option<&PortFeed>,
-    ) -> PacketOutcome {
+    fn run_event_kernel<S: TraceSink>(&self, seed: u64, sink: &mut S) -> PacketOutcome {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
         let stages = topo.stages();
@@ -568,16 +491,14 @@ impl PacketSim {
         // sum; `can_gen` holds exactly the processors with no pending
         // request and spare outstanding capacity; `has_pending` the
         // processors with a request waiting to inject.
-        let mut occ: Vec<PortSet> = vec![PortSet::new(n); stages];
+        let mut occ: Vec<FixedBitset> = vec![FixedBitset::new(n); stages];
         let mut stage_count: Vec<usize> = vec![0; stages];
         let mut total_packets: usize = 0;
-        let mut can_gen = PortSet::new(n);
+        let mut can_gen = FixedBitset::new(n);
         for p in 0..n {
-            can_gen.set(p);
+            can_gen.insert(p);
         }
-        let mut has_pending = PortSet::new(n);
-        // Feed mode: next unconsumed arrival per port.
-        let mut cursor: Vec<usize> = vec![0; n];
+        let mut has_pending = FixedBitset::new(n);
         // Scratch buffers reused across cycles.
         let mut active: Vec<usize> = Vec::with_capacity(n);
         let mut claimed: Vec<usize> = Vec::with_capacity(n);
@@ -586,28 +507,10 @@ impl PacketSim {
         while now <= total {
             // Skip-ahead: see the method docs for why this exact condition
             // makes the cycle dead. The next wake-up is the earliest
-            // generation opportunity (closed-loop: any cycle with an idle
-            // processor, since every idle processor draws; open-loop: the
-            // next due arrival of a free processor) or pending retry; with
-            // an exhausted feed and nothing pending there is none, and the
-            // clock jumps straight to the end of the run.
+            // generation opportunity (any cycle with an idle processor,
+            // since every idle processor draws) or pending retry.
             if total_packets == 0 {
-                let next_gen: Option<u64> = match feed {
-                    None => {
-                        if can_gen.is_empty() {
-                            None
-                        } else {
-                            Some(now)
-                        }
-                    }
-                    Some(feed) => {
-                        can_gen.collect_into(&mut active);
-                        active
-                            .iter()
-                            .filter_map(|&p| feed.next(p, cursor[p]).map(|&(t, _)| t.max(now)))
-                            .min()
-                    }
-                };
+                let next_gen = (!can_gen.is_empty()).then_some(now);
                 let next_retry = pending.iter().flatten().map(|r| r.retry_at).min();
                 let wake = match (next_gen, next_retry) {
                     (Some(g), Some(r)) => Some(g.min(r)),
@@ -649,7 +552,7 @@ impl PacketSim {
             let measuring = now > self.config.warmup_cycles;
 
             // 1. Memory modules consume from the last stage.
-            occ[stages - 1].collect_into(&mut active);
+            collect(&occ[stages - 1], &mut active);
             for &m in &active {
                 if busy_until[m] > now {
                     continue;
@@ -657,7 +560,7 @@ impl PacketSim {
                 let queue = &mut queues[stages - 1][m];
                 let pkt = queue.pop_front().expect("occupancy bit set"); // abs-lint: allow(panic-path) -- the occupancy bit is set only while the queue is non-empty
                 if queue.is_empty() {
-                    occ[stages - 1].clear(m);
+                    occ[stages - 1].remove(m);
                 }
                 stage_count[stages - 1] -= 1;
                 total_packets -= 1;
@@ -665,7 +568,7 @@ impl PacketSim {
                 let owner = pkt.owner;
                 inflight[owner] -= 1;
                 if pending[owner].is_none() && inflight[owner] < self.config.max_outstanding {
-                    can_gen.set(owner);
+                    can_gen.insert(owner);
                 }
                 if measuring {
                     delivered += 1;
@@ -681,7 +584,7 @@ impl PacketSim {
                 let mut collisions = 0u64;
                 if stage_count[s - 1] > 0 {
                     claimed.clear();
-                    occ[s - 1].collect_into(&mut active);
+                    collect(&occ[s - 1], &mut active);
                     for &p in &active {
                         let head = queues[s - 1][p].front().expect("occupancy bit set"); // abs-lint: allow(panic-path) -- the occupancy bit is set only while the queue is non-empty
                         let want = topo.port(head.owner, head.dst, s);
@@ -704,10 +607,10 @@ impl PacketSim {
                         let queue = &mut queues[s - 1][src_port];
                         let pkt = queue.pop_front().expect("claimed head exists"); // abs-lint: allow(panic-path) -- the winner was popped from an occupied queue
                         if queue.is_empty() {
-                            occ[s - 1].clear(src_port);
+                            occ[s - 1].remove(src_port);
                         }
                         queues[s][want].push_back(pkt);
-                        occ[s].set(want);
+                        occ[s].insert(want);
                         stage_count[s - 1] -= 1;
                         stage_count[s] += 1;
                     }
@@ -717,45 +620,25 @@ impl PacketSim {
                 }
             }
 
-            // 3. Generate new requests. Closed-loop, every idle processor
-            // draws, exactly like the stepper's `for p in 0..n` scan;
-            // open-loop, it takes its next arrival if due (no draw).
-            can_gen.collect_into(&mut active);
+            // 3. Generate new requests: every idle processor draws,
+            // exactly like the stepper's `for p in 0..n` scan.
+            collect(&can_gen, &mut active);
             for &p in &active {
-                match feed {
-                    None => {
-                        if rng.next_bool(self.config.injection_rate) {
-                            pending[p] = Some(PendingReq {
-                                dst: traffic.destination(&mut rng),
-                                issued: now,
-                                retry_at: now,
-                                retries: 0,
-                            });
-                            can_gen.clear(p);
-                            has_pending.set(p);
-                        }
-                    }
-                    Some(feed) => {
-                        if let Some(&(t, dst)) = feed.next(p, cursor[p]) {
-                            if t <= now {
-                                cursor[p] += 1;
-                                pending[p] = Some(PendingReq {
-                                    dst,
-                                    issued: t,
-                                    retry_at: now,
-                                    retries: 0,
-                                });
-                                can_gen.clear(p);
-                                has_pending.set(p);
-                            }
-                        }
-                    }
+                if rng.next_bool(self.config.injection_rate) {
+                    pending[p] = Some(PendingReq {
+                        dst: traffic.destination(&mut rng),
+                        issued: now,
+                        retry_at: now,
+                        retries: 0,
+                    });
+                    can_gen.remove(p);
+                    has_pending.insert(p);
                 }
             }
 
             // 4. Inject pending packets into stage 0.
             claimed.clear();
-            has_pending.collect_into(&mut active);
+            collect(&has_pending, &mut active);
             for &p in &active {
                 let PendingReq {
                     dst,
@@ -817,14 +700,14 @@ impl PacketSim {
                 let PendingReq { dst, issued, .. } =
                     pending[p].expect("claimed processor has a request"); // abs-lint: allow(panic-path) -- claim winners come from the pending set
                 queues[0][port].push_back(Packet { owner: p, dst, issued });
-                occ[0].set(port);
+                occ[0].insert(port);
                 stage_count[0] += 1;
                 total_packets += 1;
                 pending[p] = None;
-                has_pending.clear(p);
+                has_pending.remove(p);
                 inflight[p] += 1;
                 if inflight[p] < self.config.max_outstanding {
-                    can_gen.set(p);
+                    can_gen.insert(p);
                 }
             }
 
@@ -915,122 +798,13 @@ impl PacketSim {
     }
 }
 
-/// A pre-scheduled open-loop arrival schedule: per input port, the cycles
-/// at which requests arrive and the memory modules they target.
-///
-/// Built by an external traffic source (the `abs-load` engine) and replayed
-/// by [`PacketSim::run_fed_traced_with`]: the simulator draws no generation
-/// randomness at all in feed mode, so the offered load is exactly the
-/// schedule — the open-loop property. Arrivals at a port must be pushed in
-/// nondecreasing cycle order; a port holds at most one pending request, so
-/// closely spaced arrivals queue at the port and their wait shows up in the
-/// measured latency.
-///
-/// # Examples
-///
-/// ```
-/// use abs_net::packet::PortFeed;
-///
-/// let mut feed = PortFeed::new(16);
-/// feed.push(3, 10, 0); // port 3 sends to module 0 at cycle 10
-/// feed.push(3, 12, 5);
-/// assert_eq!(feed.len(), 2);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortFeed {
-    arrivals: Vec<Vec<(u64, usize)>>,
-}
-
-impl PortFeed {
-    /// Creates an empty feed for a network with `ports` input ports (and
-    /// as many memory modules).
-    pub fn new(ports: usize) -> Self {
-        Self {
-            arrivals: vec![Vec::new(); ports],
-        }
-    }
-
-    /// Schedules a request at `port` for memory module `dst` arriving at
-    /// `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` or `dst` is out of range, or if `cycle` precedes
-    /// the port's latest scheduled arrival.
-    pub fn push(&mut self, port: usize, cycle: u64, dst: usize) {
-        assert!(dst < self.arrivals.len(), "destination {dst} out of range");
-        let queue = &mut self.arrivals[port];
-        if let Some(&(last, _)) = queue.last() {
-            assert!(
-                cycle >= last,
-                "arrivals at port {port} must be nondecreasing ({cycle} < {last})"
-            );
-        }
-        queue.push((cycle, dst));
-    }
-
-    /// The number of input ports the feed was built for.
-    pub fn ports(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// Total scheduled arrivals across all ports.
-    pub fn len(&self) -> usize {
-        self.arrivals.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the feed holds no arrivals at all.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.iter().all(Vec::is_empty)
-    }
-
-    /// The `idx`-th arrival scheduled at `port`, if any (the kernels walk
-    /// this with a per-port cursor).
-    fn next(&self, port: usize, idx: usize) -> Option<&(u64, usize)> {
-        self.arrivals[port].get(idx)
-    }
-}
-
-/// A fixed-size bitset over port/processor indices.
-///
-/// [`collect_into`](Self::collect_into) yields indices in ascending order —
-/// the cycle stepper's `for p in 0..n` scan order, which the collision coin
-/// flips and generation draws depend on for bit-identity.
-#[derive(Debug, Clone)]
-struct PortSet {
-    words: Vec<u64>,
-}
-
-impl PortSet {
-    fn new(n: usize) -> Self {
-        Self {
-            words: vec![0; (n + 63) / 64],
-        }
-    }
-
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Replaces `out` with the set indices, ascending.
-    fn collect_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-    }
+/// Replaces `out` with the ids in `set`, ascending — the cycle stepper's
+/// `for p in 0..n` scan order, which the collision coin flips and
+/// generation draws depend on for bit-identity. The event kernel walks this
+/// snapshot while it mutates the set.
+fn collect(set: &FixedBitset, out: &mut Vec<usize>) {
+    out.clear();
+    out.extend(set.iter());
 }
 
 #[cfg(test)]
@@ -1253,130 +1027,6 @@ mod tests {
         .run(5);
         assert_eq!(o.delivered, 0);
         assert_eq!(o.blocked_injections, 0);
-    }
-
-    /// A deterministic feed exercising queueing, retries and long idle
-    /// gaps (the regimes where fed skip-ahead could diverge).
-    fn stress_feed(n: usize) -> PortFeed {
-        let mut feed = PortFeed::new(n);
-        for p in 0..n {
-            // A burst at the start, mostly hot-spot traffic...
-            for k in 0..6u64 {
-                feed.push(p, 1 + k, if k % 3 == 0 { 0 } else { (p + k as usize) % n });
-            }
-            // ...then a long dead gap, then a sparse diurnal-ish tail.
-            for k in 0..4u64 {
-                feed.push(p, 2_000 + 37 * k * (p as u64 + 1), (p + 1) % n);
-            }
-        }
-        feed
-    }
-
-    #[test]
-    fn fed_run_is_deterministic_and_kernels_bit_identical() {
-        let cfg = PacketConfig {
-            warmup_cycles: 0,
-            measure_cycles: 6_000,
-            memory_service_cycles: 2,
-            ..quick_config()
-        };
-        let policies = [
-            NetworkBackoff::None,
-            NetworkBackoff::ExponentialRetries { base: 4, cap: 4096 },
-            NetworkBackoff::QueueFeedback { factor: 8 },
-        ];
-        for policy in policies {
-            let sim = PacketSim::new(cfg, policy);
-            let feed = stress_feed(16);
-            for seed in 0..3 {
-                let cycle = sim.run_fed_with(seed, &feed, Kernel::Cycle);
-                let event = sim.run_fed_with(seed, &feed, Kernel::Event);
-                assert_eq!(cycle, event, "policy {policy:?} seed {seed}");
-                assert_eq!(cycle, sim.run_fed_with(seed, &feed, Kernel::Cycle));
-            }
-        }
-    }
-
-    #[test]
-    fn fed_kernels_emit_identical_traces_across_idle_gaps() {
-        use abs_obs::trace::Ring;
-        let cfg = PacketConfig {
-            warmup_cycles: 0,
-            measure_cycles: 6_000,
-            ..quick_config()
-        };
-        let sim = PacketSim::new(cfg, NetworkBackoff::ExponentialRetries { base: 4, cap: 4096 });
-        let feed = stress_feed(16);
-        let mut cycle_ring = Ring::new(1 << 20);
-        let mut event_ring = Ring::new(1 << 20);
-        let a = sim.run_fed_traced_with(7, &feed, &mut cycle_ring, Kernel::Cycle);
-        let b = sim.run_fed_traced_with(7, &feed, &mut event_ring, Kernel::Event);
-        assert_eq!(a, b);
-        assert_eq!(cycle_ring.events(), event_ring.events());
-        // Every simulated cycle carries its hot-queue row, skipped or not.
-        let rows = event_ring.events().iter().filter(|e| e.name == "hot_queue").count() as u64;
-        assert_eq!(rows, cfg.measure_cycles);
-    }
-
-    #[test]
-    fn fed_delivers_the_whole_schedule_and_ends_early() {
-        // A light schedule long before the horizon: everything is
-        // delivered, and latency reflects the arrival (not pickup) time.
-        let cfg = PacketConfig {
-            warmup_cycles: 0,
-            measure_cycles: 50_000,
-            ..quick_config()
-        };
-        let sim = PacketSim::new(cfg, NetworkBackoff::None);
-        let mut feed = PortFeed::new(16);
-        for p in 0..16 {
-            feed.push(p, 5, (p + 1) % 16);
-            feed.push(p, 900, 0);
-        }
-        let o = sim.run_fed(3, &feed);
-        assert_eq!(o.delivered, feed.len() as u64, "{o:?}");
-        // The cycle-900 batch plus port 15's first arrival ((15+1)%16 = 0).
-        assert_eq!(o.hot_delivered, 17);
-        assert!(o.avg_latency >= 4.0, "{o:?}");
-    }
-
-    #[test]
-    fn fed_queueing_counts_port_wait_in_latency() {
-        // Two back-to-back arrivals at one port with a blocking processor:
-        // the second waits for the first's round trip, so its measured
-        // latency must exceed the bare network transit.
-        let cfg = PacketConfig {
-            warmup_cycles: 0,
-            measure_cycles: 10_000,
-            max_outstanding: 1,
-            memory_service_cycles: 4,
-            ..quick_config()
-        };
-        let sim = PacketSim::new(cfg, NetworkBackoff::None);
-        let mut lone = PortFeed::new(16);
-        lone.push(2, 1, 9);
-        let mut queued = PortFeed::new(16);
-        queued.push(2, 1, 9);
-        queued.push(2, 1, 9);
-        let solo = sim.run_fed(5, &lone);
-        let pair = sim.run_fed(5, &queued);
-        assert_eq!(pair.delivered, 2);
-        assert!(pair.avg_latency > solo.avg_latency, "{pair:?} vs {solo:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "nondecreasing")]
-    fn feed_rejects_time_travel() {
-        let mut feed = PortFeed::new(4);
-        feed.push(0, 10, 1);
-        feed.push(0, 9, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "feed has")]
-    fn fed_run_rejects_port_mismatch() {
-        let sim = PacketSim::new(quick_config(), NetworkBackoff::None);
-        sim.run_fed(1, &PortFeed::new(4));
     }
 
     #[test]

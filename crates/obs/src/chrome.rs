@@ -164,7 +164,7 @@ fn event_row(event: &Event) -> Value {
 
 /// Converts an `abs-exec` [`RunReport`] into wall-clock lanes: one lane
 /// per worker ([`WALL_PID`], `tid` = worker index), one span per job with
-/// the queue wait and attempt count annotated. Returns the events plus
+/// the queue wait and success flag annotated. Returns the events plus
 /// `(tid, name)` lane labels.
 ///
 /// Wall-clock timestamps are inherently nondeterministic; they live only
@@ -183,7 +183,6 @@ pub fn exec_report_lanes<T>(report: &RunReport<T>) -> (Vec<Event>, Vec<(u32, Str
         let end = begin + outcome.stats.wall.as_secs_f64() * 1e6;
         let args = [
             ("queue_ms", outcome.stats.queue_wait.as_secs_f64() * 1e3),
-            ("attempts", f64::from(outcome.stats.attempts)),
             ("ok", if outcome.result.is_ok() { 1.0 } else { 0.0 }),
         ];
         let mut open = Event::sim(worker, begin, Phase::Begin, outcome.name.clone()).with_args(&args);

@@ -37,13 +37,11 @@ pub mod app;
 pub mod apps;
 pub mod measure;
 pub mod ops;
-pub mod record;
 pub mod sched;
 pub mod scheduler;
 
 pub use app::{Section, SpmdApp};
 pub use measure::{arrival_histogram, intervals, IntervalReport};
 pub use ops::{CountingConsumer, MemorySystem, RefKind};
-pub use record::{Trace, TraceRecord, TraceRecorder};
 pub use sched::{Cfs, RoundRobin, SchedKind, SchedPolicy, StrictPriority, UnknownSched};
 pub use scheduler::{BarrierEpisode, ScheduleReport, Scheduler};
