@@ -19,11 +19,12 @@
 //! barriers need, at the scale where it matters.
 
 use abs_core::{
-    aggregate_runs_with, BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig,
-    CombiningRun, CombiningTreeSim,
+    BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig, CombiningRun, CombiningTreeSim,
 };
 use abs_exec::json::Value;
 use abs_model::model1_accesses;
+use abs_sim::stats::OnlineStats;
+use abs_sim::sweep::Repetitions;
 use abs_sim::table::{fmt_f64, Table};
 
 use super::barrier::sweep_points;
@@ -102,8 +103,22 @@ fn flat_rows(config: &ReproConfig) -> Vec<MegaRow> {
     let base = config.reps;
     let smallest = mega_grid(config)[0];
     let measured = sweep_points(&points, config, move |&(n, span, policy), seed| {
+        // `aggregate_runs_with`'s seeds and averaging order, so the means
+        // are bit-identical to it, plus each episode's invariant check: at
+        // N = 2²⁰ no second kernel can vouch for a run.
         let sim = BarrierSim::new(BarrierConfig::new(n, span), policy);
-        aggregate_runs_with(&sim, scaled_reps(base, smallest, n), seed, kernel).mean_accesses()
+        let mut accesses = OnlineStats::new();
+        for run_seed in Repetitions::new(scaled_reps(base, smallest, n), seed).seeds() {
+            let run = sim.run_with(run_seed, kernel);
+            if let Err(broken) = run.check_invariants() {
+                panic!(
+                    "N = {n}, A = {span}, {} seed {run_seed}: {broken}",
+                    policy.label()
+                );
+            }
+            accesses.push(run.mean_accesses());
+        }
+        accesses.mean()
     });
     points
         .iter()

@@ -103,6 +103,28 @@ fn barrier_fenwick_scale_bit_identical_n16384() {
     assert_fenwick_scale_bit_identical(16384);
 }
 
+/// One megasweep-scale cell: `N = 65536`, the largest `N` the cycle
+/// oracle can still afford (about 1.5 min in release; its cost grows
+/// about `N²`). Megasweep's rows at this `N` run on the event kernel's
+/// word-level `PendingSet` layout, which this cell pins to the stepper.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "the cycle oracle needs a release build at N = 65536"
+)]
+fn barrier_fenwick_scale_bit_identical_n65536() {
+    let (n, a) = (65536usize, 1000u64);
+    let sim = BarrierSim::new(
+        BarrierConfig::new(n, a).with_arbitration(Arbitration::Random),
+        BackoffPolicy::exponential(2),
+    );
+    let seed = derive_seed(0xF3E0, (n as u64) << 32 | a);
+    assert_eq!(
+        sim.run_with(seed, Kernel::Cycle),
+        sim.run_with(seed, Kernel::Event)
+    );
+}
+
 #[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();

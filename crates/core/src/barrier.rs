@@ -148,6 +148,8 @@ impl ProcState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BarrierRun {
     n: usize,
+    /// The arrival interval `A` the episode ran at.
+    span: u64,
     accesses: Vec<u64>,
     waiting: Vec<u64>,
     var_accesses: u64,
@@ -215,6 +217,46 @@ impl BarrierRun {
     /// The cycle at which the last process proceeded past the barrier.
     pub fn completion(&self) -> u64 {
         self.completion
+    }
+
+    /// Checks what every episode must satisfy at any `N`, whichever
+    /// kernel ran it — an oracle for runs too large for a second kernel:
+    ///
+    /// * every process makes at least two accesses: its variable win and
+    ///   at least one flag access;
+    /// * `flag_set_at ≥ N`: the variable's module serves one access per
+    ///   cycle, so the last arriver wins it at cycle `N − 1` at the
+    ///   earliest and writes the flag a cycle later;
+    /// * `completion ≥ flag_set_at`;
+    /// * at `A = 0` the variable accesses total exactly `N(N+1)/2`: all
+    ///   processes are pending from cycle 0 and one is served per cycle,
+    ///   so the i-th winner presents `i` times.
+    ///
+    /// That each process's variable, flag-before and flag-after accesses
+    /// sum to its total is not checked: [`Self::accesses`] is built as
+    /// that sum.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.n as u64;
+        if let Some((id, a)) = self.accesses.iter().enumerate().find(|(_, &a)| a < 2) {
+            return Err(format!("process {id} made {a} accesses, fewer than 2"));
+        }
+        if self.flag_set_at < n {
+            return Err(format!("flag set at cycle {} < N = {n}", self.flag_set_at));
+        }
+        if self.completion < self.flag_set_at {
+            return Err(format!(
+                "completion {} precedes the flag set at {}",
+                self.completion, self.flag_set_at
+            ));
+        }
+        let triangle = n * (n + 1) / 2;
+        if self.span == 0 && self.var_accesses != triangle {
+            return Err(format!(
+                "A = 0 variable accesses {} != N(N+1)/2 = {triangle}",
+                self.var_accesses
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -514,7 +556,7 @@ impl BarrierSim {
             }
         }
 
-        collect_run(&procs, flag_set_at)
+        collect_run(&procs, self.config.span, flag_set_at)
     }
 
     /// The event-driven skip-ahead kernel.
@@ -756,14 +798,14 @@ impl BarrierSim {
             }
         }
 
-        collect_run(&procs, flag_set_at)
+        collect_run(&procs, self.config.span, flag_set_at)
     }
 }
 
 /// Builds the episode result from the final processor states (shared by
 /// both kernels, so the field derivations cannot drift apart). Every pass
 /// streams sequentially over one or two SoA arrays.
-fn collect_run(procs: &ProcState, flag_set_at: Option<u64>) -> BarrierRun {
+fn collect_run(procs: &ProcState, span: u64, flag_set_at: Option<u64>) -> BarrierRun {
     let n = procs.arrival.len();
     let accesses: Vec<u64> = (0..n)
         .map(|i| procs.var_accesses[i] + procs.flag_before[i] + procs.flag_after[i])
@@ -772,6 +814,7 @@ fn collect_run(procs: &ProcState, flag_set_at: Option<u64>) -> BarrierRun {
     let completion = procs.done_at.iter().copied().max().unwrap_or(0);
     BarrierRun {
         n,
+        span,
         var_accesses: procs.var_accesses.iter().sum(),
         flag_before: procs.flag_before.iter().sum(),
         flag_after: procs.flag_after.iter().sum(),
@@ -837,6 +880,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn invariants_hold_on_every_policy_and_kernel() {
+        let policies = [
+            BackoffPolicy::None,
+            BackoffPolicy::exponential(8),
+            BackoffPolicy::on_variable(),
+            BackoffPolicy::QueueOnThreshold {
+                base: 2,
+                threshold: 4,
+                wake_cost: 100,
+            },
+        ];
+        for policy in policies {
+            for arb in Arbitration::ALL {
+                for (n, span) in [(1, 0), (2, 0), (64, 0), (64, 1000), (300, 50)] {
+                    let sim =
+                        BarrierSim::new(BarrierConfig::new(n, span).with_arbitration(arb), policy);
+                    for kernel in [Kernel::Cycle, Kernel::Event] {
+                        let run = sim.run_with(derive_seed(0x1A7, n as u64), kernel);
+                        assert_eq!(
+                            run.check_invariants(),
+                            Ok(()),
+                            "{policy:?} {arb:?} N={n} A={span} {kernel:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invariants_catch_broken_runs() {
+        let good = BarrierSim::new(BarrierConfig::new(16, 0), BackoffPolicy::None).run(3);
+        assert_eq!(good.check_invariants(), Ok(()));
+        let broken = [
+            BarrierRun {
+                accesses: vec![1; 16],
+                ..good.clone()
+            },
+            BarrierRun {
+                flag_set_at: 15,
+                ..good.clone()
+            },
+            BarrierRun {
+                completion: good.flag_set_at - 1,
+                ..good.clone()
+            },
+            BarrierRun {
+                var_accesses: good.var_accesses + 1,
+                ..good.clone()
+            },
+        ];
+        for run in broken {
+            assert!(run.check_invariants().is_err(), "{run:?}");
+        }
+        // The exact variable total is an A = 0 law only.
+        let spread = BarrierRun {
+            span: 1,
+            var_accesses: good.var_accesses + 1,
+            ..good
+        };
+        assert_eq!(spread.check_invariants(), Ok(()));
     }
 
     #[test]

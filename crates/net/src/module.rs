@@ -187,19 +187,27 @@ impl Default for MemoryModule {
 ///   keep the id-sorted `Vec<Request>`: `O(len)` insert/remove memmoves
 ///   are cheap at this size, and random arbitration — which runs every
 ///   busy cycle, far more often than insert/remove — is a *direct
-///   `O(1)` index*. Replacing this path wholesale with the tree below
-///   measurably slowed every small-N acceptance point (combining
-///   `a0_d4_none` by 4×), so the vector stays the default.
-/// * **Mega-N sets** switch to struct-of-arrays over the id space: a
-///   Fenwick (binary-indexed) tree of presence counts plus an id-indexed
-///   `since` column. The tree answers *rank* (pending ids below a bound)
-///   and *select* (k-th smallest pending id) in `O(log capacity)`, which
-///   is what makes the set usable at N = 10⁶: the sorted vector's
-///   `O(len)` memmove per insert/remove would turn one mega barrier
-///   episode into ~10¹² byte moves. The switch happens when the pending
-///   count first exceeds `SMALL_MAX` (or at construction, when
-///   the declared capacity already exceeds it); it is one `O(capacity)`
-///   rebuild and is never undone — a set that has been mega stays SoA.
+///   `O(1)` index*, about twice as fast per draw as the word index
+///   below at these sizes. (The word index inserts and removes faster;
+///   where the two break even end to end is open, see DESIGN §9.)
+/// * **Mega-N sets** switch to a word-level rank/select index over the id
+///   space: a `u64` presence bitset, a Fenwick (binary-indexed) tree over
+///   the per-word popcounts (`N/64` counts: 4 KB at N = 65536), and an
+///   id-indexed `since` column. *Rank* (pending ids below a bound) is the
+///   tree's word prefix sum plus a masked popcount; *select* (k-th
+///   smallest pending id) is a Fenwick descent to the word holding it,
+///   then a branch-free select within that word. Both are
+///   `O(log(capacity / 64))`, which is what makes the set usable at
+///   N = 10⁶: the sorted vector's `O(len)` memmove per insert/remove
+///   would turn one mega barrier episode into ~10¹² byte moves. Random
+///   arbitration draws a uniform `k`, so the descent's turns are coin
+///   flips a branch predictor cannot learn; the descent and the in-word
+///   select therefore use masks and a lookup table, not branches. The
+///   default x86-64 target has no `popcnt` instruction, which makes a
+///   bit-by-bit in-word loop the most expensive part of a draw. The
+///   switch happens when the pending count first exceeds `SMALL_MAX` (or
+///   at construction, when the declared capacity already exceeds it); it
+///   is never undone — a set that has been mega stays mega.
 ///
 /// The arbitration semantics are identical in both layouts, because rank
 /// order over ids *is* sorted-vector order: random arbitration draws an
@@ -247,18 +255,74 @@ pub struct PendingSet {
 enum Index {
     /// Id-sorted requests: small-set layout.
     Sorted(Vec<Request>),
-    /// Fenwick SoA over the id space: mega-N layout.
+    /// Word-level rank/select over the id space: mega-N layout.
     Fenwick(Fenwick),
 }
 
-/// Fenwick-tree presence index plus SoA columns, keyed by processor id.
+/// Ids per presence word.
+const WORD: usize = 64;
+
+/// One in every byte: the SWAR broadcast and byte-sum multiplier.
+const BYTE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// The high bit of every byte.
+const BYTE_HIGHS: u64 = 0x8080_8080_8080_8080;
+
+/// `SELECT_IN_BYTE[r << 8 | b]`: the position of the `r`-th smallest set
+/// bit of byte `b` (8 when `b` has `r` or fewer set bits). 2 KB.
+const SELECT_IN_BYTE: [u8; 8 * 256] = {
+    let mut table = [8u8; 8 * 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut r, mut bit) = (0, 0);
+        while bit < 8 {
+            if (b >> bit) & 1 == 1 {
+                table[r << 8 | b] = bit as u8;
+                r += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The position of the `r`-th smallest set bit of `word`, 0-indexed
+/// (`r < word.count_ones()`), with no data-dependent branch. The default
+/// x86-64 target has no `popcnt`, so a bit-by-bit loop here costs a
+/// mispredicted branch per bit; instead SWAR byte counts locate the byte
+/// and a table lookup the bit within it.
+fn select_in_word(word: u64, r: u64) -> u64 {
+    debug_assert!(r < u64::from(word.count_ones()));
+    // Per-byte popcounts, then their inclusive prefix sums: byte i of
+    // `prefix` counts the set bits of bytes 0..=i (at most 64).
+    let pairs = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + ((pairs >> 2) & 0x3333_3333_3333_3333);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    let prefix = bytes.wrapping_mul(BYTE_ONES);
+    // Byte i keeps its high bit in `(r | 0x80) - prefix_i` iff
+    // `prefix_i <= r`; both are below 128, so no byte borrows from the
+    // next. The prefix sums are monotone, so the number of such bytes is
+    // the index of the byte that holds the r-th set bit.
+    let fits = (((r * BYTE_ONES) | BYTE_HIGHS) - prefix) & BYTE_HIGHS;
+    let shift = 8 * ((fits >> 7).wrapping_mul(BYTE_ONES) >> 56);
+    // Set bits below that byte: the previous byte's prefix sum.
+    let below = ((prefix << 8) >> shift) & 0xFF;
+    let byte = ((word >> shift) & 0xFF) as usize;
+    shift + u64::from(SELECT_IN_BYTE[((r - below) as usize) << 8 | byte])
+}
+
+/// Word-level rank/select index plus the `since` column, keyed by
+/// processor id.
 #[derive(Debug, Clone)]
 struct Fenwick {
-    /// Fenwick tree over `[0, capacity)`: `tree[i]` (1-based) holds the
-    /// count of pending ids in its implicit range.
+    /// Presence bitset: id `i` is bit `i % 64` of `bits[i / 64]`.
+    bits: Vec<u64>,
+    /// Fenwick tree over the words' popcounts: `tree[w]` (1-based) counts
+    /// the pending ids of the words in its implicit range. Its length is a
+    /// power of two plus one (the padding words are empty), so the select
+    /// descent never steps past its end.
     tree: Vec<u32>,
-    /// Presence bit per id (SoA column).
-    pending: Vec<bool>,
     /// `Request::since` per id (SoA column; valid only while pending).
     since: Vec<u64>,
     len: usize,
@@ -267,94 +331,117 @@ struct Fenwick {
 impl Fenwick {
     /// An empty index sized for ids `< capacity`.
     fn new(capacity: usize) -> Self {
-        Self {
-            tree: vec![0; capacity + 1],
-            pending: vec![false; capacity],
+        let mut index = Self {
+            bits: vec![0; capacity.div_ceil(WORD)],
+            tree: Vec::new(),
             since: vec![0; capacity],
             len: 0,
-        }
+        };
+        index.rebuild();
+        index
     }
 
     /// The id capacity (largest representable id + 1).
     fn capacity(&self) -> usize {
-        self.pending.len()
+        self.since.len()
     }
 
-    /// Grows the id space to hold `id`, rebuilding the tree in
-    /// O(capacity) (rare: only when a caller under-sized the set).
-    fn grow_for(&mut self, id: usize) {
-        let cap = (id + 1).max(self.capacity() * 2);
-        self.pending.resize(cap, false);
-        self.since.resize(cap, 0);
-        self.tree = vec![0; cap + 1];
-        for i in 0..cap {
-            if self.pending[i] {
-                self.tree[i + 1] += 1;
-            }
+    /// Whether `id` is pending.
+    fn contains(&self, id: usize) -> bool {
+        id < self.capacity() && (self.bits[id / WORD] >> (id % WORD)) & 1 == 1
+    }
+
+    /// Rebuilds the word tree from `bits` in O(words).
+    fn rebuild(&mut self) {
+        let size = self.bits.len().next_power_of_two();
+        self.tree = vec![0; size + 1];
+        for (w, word) in self.bits.iter().enumerate() {
+            self.tree[w + 1] = word.count_ones();
         }
         // Linear-time Fenwick build: fold each node into its parent.
-        for i in 1..=cap {
+        for i in 1..=size {
             let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
+            if parent <= size {
                 self.tree[parent] += self.tree[i];
             }
         }
     }
 
-    /// Increments the count at `id` (Fenwick point update).
-    fn inc(&mut self, id: usize) {
-        let mut i = id + 1;
+    /// Grows the id space to hold `id` and rebuilds the tree (rare: only
+    /// when a caller under-sized the set).
+    fn grow_for(&mut self, id: usize) {
+        let cap = (id + 1).max(self.capacity() * 2);
+        self.since.resize(cap, 0);
+        self.bits.resize(cap.div_ceil(WORD), 0);
+        self.rebuild();
+    }
+
+    /// Marks `id` pending (`id < capacity`, not yet pending).
+    fn set(&mut self, id: usize) {
+        self.bits[id / WORD] |= 1 << (id % WORD);
+        let mut i = id / WORD + 1;
         while i < self.tree.len() {
             self.tree[i] += 1;
             i += i & i.wrapping_neg();
         }
+        self.len += 1;
     }
 
-    /// Decrements the count at `id`; the id must be pending.
-    fn dec(&mut self, id: usize) {
-        let mut i = id + 1;
+    /// Clears pending `id`.
+    fn clear(&mut self, id: usize) {
+        self.bits[id / WORD] &= !(1 << (id % WORD));
+        let mut i = id / WORD + 1;
         while i < self.tree.len() {
             self.tree[i] -= 1;
             i += i & i.wrapping_neg();
         }
+        self.len -= 1;
     }
 
-    /// Pending ids strictly below `bound` (Fenwick prefix sum).
+    /// Pending ids strictly below `bound`: the word tree's prefix sum
+    /// plus a masked popcount of the partial word.
     fn rank(&self, bound: usize) -> usize {
-        let mut i = bound.min(self.capacity());
+        let bound = bound.min(self.capacity());
+        let (word, bit) = (bound / WORD, bound % WORD);
         let mut sum = 0usize;
+        let mut i = word;
         while i > 0 {
             sum += self.tree[i] as usize;
             i -= i & i.wrapping_neg();
         }
+        if bit > 0 {
+            sum += (self.bits[word] & ((1 << bit) - 1)).count_ones() as usize;
+        }
         sum
     }
 
-    /// The k-th smallest pending id, 0-indexed (`k < len`).
+    /// The k-th smallest pending id, 0-indexed (`k < len`): a Fenwick
+    /// descent to the word holding it, then [`select_in_word`].
     fn select(&self, k: usize) -> usize {
         debug_assert!(k < self.len);
         let mut remaining = u32::try_from(k).unwrap_or(u32::MAX);
-        let mut pos = 0usize;
-        let mut step = self.tree.len().next_power_of_two() / 2;
+        let mut word = 0usize;
+        let mut step = (self.tree.len() - 1) / 2;
         while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] <= remaining {
-                remaining -= self.tree[next];
-                pos = next;
-            }
+            // A mask, not a branch: under random arbitration `k` is
+            // uniform, so every turn would be a coin-flip misprediction.
+            let count = self.tree[word + step];
+            let take = u32::from(count <= remaining).wrapping_neg();
+            remaining -= count & take;
+            word += step & take as usize;
             step /= 2;
         }
-        pos // 1-based tree index of the predecessor == 0-based id
+        word * WORD + select_in_word(self.bits[word], u64::from(remaining)) as usize
     }
 }
 
 impl PendingSet {
     /// Pending-count bound for the sorted-vector layout; the first insert
     /// past it (or a declared capacity above it) switches the set to the
-    /// Fenwick SoA. At N ≤ 512 the vector is faster, at N = 4096 its
-    /// memmoves already lose badly, so the crossover sits between. The
-    /// ledger's `net.pendingset.*` probes time both layouts: the vector at
-    /// 64 and 1024 pending, the Fenwick SoA at 65536.
+    /// word-level index. The vector draws faster; at N = 4096 its
+    /// memmoves already lose badly. The ledger's `net.pendingset.*`
+    /// probes time both layouts: the vector at 64 and 1024 pending, the
+    /// word index at 65536.
     const SMALL_MAX: usize = 1024;
 
     /// Creates an empty set with the given arbitration policy, sized for
@@ -392,7 +479,7 @@ impl PendingSet {
         self.len() == 0
     }
 
-    /// One-way migration to the Fenwick SoA, triggered by the insert that
+    /// One-way migration to the word-level index, triggered by the insert that
     /// pushes the pending count past [`Self::SMALL_MAX`]. Pure layout
     /// change: same pending ids, same `since` values, no RNG involvement.
     fn migrate(&mut self) {
@@ -402,16 +489,8 @@ impl PendingSet {
         let cap = requests.last().map_or(0, |r| r.id + 1);
         let mut fw = Fenwick::new(cap);
         for req in requests {
-            fw.pending[req.id] = true;
+            fw.set(req.id);
             fw.since[req.id] = req.since;
-            fw.tree[req.id + 1] = 1;
-        }
-        fw.len = requests.len();
-        for i in 1..=cap {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                fw.tree[parent] += fw.tree[i];
-            }
         }
         self.index = Index::Fenwick(fw);
     }
@@ -448,11 +527,9 @@ impl PendingSet {
                 if req.id >= fw.capacity() {
                     fw.grow_for(req.id);
                 }
-                assert!(!fw.pending[req.id], "processor already pending");
-                fw.pending[req.id] = true;
+                assert!(!fw.contains(req.id), "processor already pending");
+                fw.set(req.id);
                 fw.since[req.id] = req.since;
-                fw.inc(req.id);
-                fw.len += 1;
             }
         }
         if self.policy == Arbitration::OldestFirst {
@@ -470,13 +547,8 @@ impl PendingSet {
                 requests.remove(at)
             }
             Index::Fenwick(fw) => {
-                assert!(
-                    id < fw.capacity() && fw.pending[id],
-                    "processor must be pending"
-                );
-                fw.pending[id] = false;
-                fw.dec(id);
-                fw.len -= 1;
+                assert!(fw.contains(id), "processor must be pending");
+                fw.clear(id);
                 Request::new(id, fw.since[id])
             }
         };
@@ -496,10 +568,7 @@ impl PendingSet {
                 std::mem::replace(&mut requests[at].since, since)
             }
             Index::Fenwick(fw) => {
-                assert!(
-                    id < fw.capacity() && fw.pending[id],
-                    "processor must be pending"
-                );
+                assert!(fw.contains(id), "processor must be pending");
                 std::mem::replace(&mut fw.since[id], since)
             }
         };
@@ -537,6 +606,8 @@ impl PendingSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abs_sim::check::{self, Config};
+    use abs_sim::forall;
 
     fn rng() -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(42)
@@ -734,6 +805,123 @@ mod tests {
     }
 
     #[test]
+    fn mega_layout_matches_module_arbitration() {
+        // The word-level layout in lockstep with an id-sorted request
+        // vector handed to `MemoryModule::arbitrate`: same winners, same
+        // draws, and the same rank/select answers, under every policy, at
+        // declared capacities on and around a word boundary, with ids
+        // hugging word edges and landing past the declared capacity (so
+        // `grow_for` rebuilds the index mid-run).
+        const CAPACITIES: [usize; 4] = [1025, 4095, 4096, 4097];
+        forall!(Config::with_cases(48), (
+            seed in check::any_u64(),
+            policy_ix in check::usize_in(0..3),
+            cap_ix in check::usize_in(0..4),
+        ) {
+            let (policy, capacity) = (Arbitration::ALL[policy_ix], CAPACITIES[cap_ix]);
+            let mut set = PendingSet::new(policy, capacity);
+            assert!(matches!(set.index, Index::Fenwick(_)));
+            let mut module = MemoryModule::new(policy);
+            let mut set_rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut module_rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut churn = Xoshiro256PlusPlus::seed_from_u64(!seed);
+            let edges = [
+                0,
+                63,
+                64,
+                65,
+                127,
+                128,
+                capacity - 1,
+                capacity,
+                capacity + 63,
+                capacity + 64,
+                2 * capacity + 65,
+            ];
+            let mut pending: Vec<Request> = Vec::new();
+            for cycle in 0..400u64 {
+                for _ in 0..churn.next_below(4) {
+                    let id = if churn.next_bool(0.3) {
+                        edges[churn.next_below_usize(edges.len())]
+                    } else {
+                        churn.next_below_usize(capacity + 128)
+                    };
+                    match pending.binary_search_by_key(&id, |r| r.id) {
+                        Err(at) => {
+                            pending.insert(at, Request::new(id, cycle));
+                            set.insert(Request::new(id, cycle));
+                        }
+                        Ok(at) if churn.next_bool(0.3) => {
+                            pending[at].since = cycle;
+                            set.refresh(id, cycle);
+                        }
+                        Ok(_) => {}
+                    }
+                }
+                assert_eq!(set.len(), pending.len());
+                if !pending.is_empty() {
+                    let k = churn.next_below_usize(pending.len());
+                    assert_eq!(set.select(k), pending[k].id, "select({k}) at cycle {cycle}");
+                }
+                let bound = churn.next_below_usize(3 * capacity);
+                let rank = pending.partition_point(|r| r.id < bound);
+                assert_eq!(set.rank(bound), rank, "rank({bound}) at cycle {cycle}");
+                let expect = module.arbitrate(&pending, &mut module_rng);
+                let got = set.arbitrate(&mut set_rng);
+                assert_eq!(expect, got, "{policy:?} capacity {capacity} cycle {cycle}");
+                if let Some(w) = got {
+                    let at = pending.binary_search_by_key(&w, |r| r.id).unwrap();
+                    assert_eq!(set.remove(w), pending.remove(at));
+                }
+            }
+        });
+    }
+
+    /// The r-th smallest set bit of `word`, one bit at a time.
+    fn naive_select(word: u64, r: u64) -> u64 {
+        (0..64)
+            .filter(|&bit| (word >> bit) & 1 == 1)
+            .nth(r as usize)
+            .expect("r < popcount")
+    }
+
+    fn assert_select_in_word(word: u64) {
+        for r in 0..u64::from(word.count_ones()) {
+            assert_eq!(
+                select_in_word(word, r),
+                naive_select(word, r),
+                "{word:#x} rank {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn select_in_word_matches_bit_scan() {
+        // Every byte value at every byte position, alone and among random
+        // neighbours, at every rank; then the dense and alternating words
+        // and a batch of random ones.
+        let mut filler = rng();
+        for shift in (0..64).step_by(8) {
+            for byte in 0..=255u64 {
+                assert_select_in_word(byte << shift);
+                assert_select_in_word(byte << shift | filler.next_u64() & !(0xFF << shift));
+            }
+        }
+        for word in [
+            u64::MAX,
+            0x5555_5555_5555_5555,
+            0xAAAA_AAAA_AAAA_AAAA,
+            1,
+            1 << 63,
+        ] {
+            assert_select_in_word(word);
+        }
+        for _ in 0..1000 {
+            assert_select_in_word(filler.next_u64());
+        }
+    }
+
+    #[test]
     fn pending_set_grows_past_declared_capacity() {
         let mut set = PendingSet::new(Arbitration::RoundRobin, 2);
         set.insert(Request::new(1, 0));
@@ -750,9 +938,9 @@ mod tests {
 
     #[test]
     fn pending_set_rank_select_at_scale() {
-        // The Fenwick paths (insert, remove, random select) must stay
+        // The word-index paths (insert, remove, random select) must stay
         // consistent over a large sparse id space — the mega-N regime the
-        // SoA layout exists for.
+        // layout exists for.
         let n = 1 << 16;
         let mut set = PendingSet::new(Arbitration::Random, n);
         for id in (0..n).step_by(3) {
