@@ -51,10 +51,12 @@ fn packet_policies() -> [NetworkBackoff; 6] {
 #[test]
 fn barrier_exhaustive_grid_bit_identical() {
     // The acceptance matrix: every policy variant × every arbitration mode
-    // × N ∈ {1, 2, 64, 512} × A ∈ {0, 100, 1000}.
+    // × N ∈ {1, 2, 16, 17, 64, 512} × A ∈ {0, 100, 1000}. N = 16 is the
+    // widest barrier on `PendingSet`'s sorted vector, N = 17 the narrowest
+    // on its word index.
     for policy in barrier_policies() {
         for arb in Arbitration::ALL {
-            for n in [1usize, 2, 64, 512] {
+            for n in [1usize, 2, 16, 17, 64, 512] {
                 for a in [0u64, 100, 1000] {
                     let sim =
                         BarrierSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
@@ -71,9 +73,8 @@ fn barrier_exhaustive_grid_bit_identical() {
     }
 }
 
-/// One cell per arbitration discipline at `n` processors. Above
-/// `PendingSet::SMALL_MAX` (1024) the barrier builds its pending sets in
-/// the Fenwick layout, which the N ≤ 512 grid above never reaches.
+/// One cell per arbitration discipline at `n` processors: the word-index
+/// layout at mega-N widths, whose id space spans many Fenwick levels.
 fn assert_fenwick_scale_bit_identical(n: usize) {
     let cells = [
         (BackoffPolicy::None, Arbitration::Random, 0u64),
@@ -225,11 +226,18 @@ fn property_packet_kernels_bit_identical() {
 #[test]
 fn combining_exhaustive_grid_bit_identical() {
     // Every policy variant × every arbitration mode × tree shapes covering
-    // degree-2/4/8, a non-power-of-degree N and the degenerate N = 1.
+    // degree-2/4/8, a non-power-of-degree N, the degenerate N = 1, and
+    // 24-wide leaves under a 2-wide root: leaf sets on `PendingSet`'s word
+    // index and the root on its sorted vector, in one small tree.
     for policy in barrier_policies() {
         for arb in Arbitration::ALL {
-            for (n, a, degree) in [(48usize, 400u64, 4usize), (17, 0, 2), (256, 100, 8), (1, 10, 2)]
-            {
+            for (n, a, degree) in [
+                (48usize, 400u64, 4usize),
+                (17, 0, 2),
+                (256, 100, 8),
+                (1, 10, 2),
+                (48, 100, 24),
+            ] {
                 let sim = CombiningTreeSim::new(
                     CombiningConfig::new(n, a, degree).with_arbitration(arb),
                     policy,
@@ -248,9 +256,9 @@ fn combining_exhaustive_grid_bit_identical() {
 
 #[test]
 fn combining_fenwick_width_bit_identical() {
-    // Nodes wider than `PendingSet::SMALL_MAX` (1024) start their sets in
-    // the Fenwick layout, which the degree ≤ 8 grid above never reaches.
-    // The last cell's final leaf holds 600, so one tree mixes both layouts.
+    // Nodes 1100–2048 wide: word-index sets whose id space spans many
+    // Fenwick levels, which the degree ≤ 24 grid above never reaches.
+    // The last cell's final leaf holds 600, and its root 5.
     let cells = [
         (4096usize, 2048usize, BackoffPolicy::None, Arbitration::Random, 0u64),
         (8192, 1500, BackoffPolicy::exponential(2), Arbitration::RoundRobin, 1000),

@@ -562,8 +562,8 @@ impl BarrierSim {
     /// The event-driven skip-ahead kernel.
     ///
     /// Instead of rescanning all `N` processors per cycle, it maintains the
-    /// two pending-request sets incrementally in a [`PendingSet`] (sorted
-    /// by processor id, so random arbitration indexes into exactly the
+    /// two pending-request sets incrementally in a [`PendingSet`] (ranked
+    /// by processor id, so random arbitration selects from exactly the
     /// slice the cycle stepper's id-ordered collection scan would build)
     /// and parks dormant processors (future arrivals, `Waiting { until }`
     /// backoffs) in a bucketed [`TimeWheel`]. Per busy cycle the work is
