@@ -377,6 +377,89 @@ fn property_single_counter_kernels_bit_identical() {
     });
 }
 
+/// Arrival spans where the wheel's arrival stream meets its scheduled
+/// wake-ups: arrivals spread over one cycle or a few land on the cycles of
+/// the first backoff expiries, and spans around `TimeWheel::SLOTS` (256)
+/// put the last arrivals on the cycles where far wake-ups migrate into
+/// the near slots.
+const MERGE_SPANS: [u64; 5] = [1, 5, 255, 256, 257];
+
+/// Runs `cell(n, a, arbitration, seed)` for N = 8, 24 and 64, every
+/// merge span, every arbitration mode (rotated over `policy_ix`), and two
+/// seeds.
+fn for_merge_cells(policy_ix: usize, mut cell: impl FnMut(usize, u64, Arbitration, u64)) {
+    for (i, n) in [8usize, 24, 64].into_iter().enumerate() {
+        let arb = Arbitration::ALL[(policy_ix + i) % Arbitration::ALL.len()];
+        for a in MERGE_SPANS {
+            for seed in 0..2u64 {
+                cell(n, a, arb, derive_seed(0x3E46E, (n as u64) << 32 | a) ^ seed);
+            }
+        }
+    }
+}
+
+#[test]
+fn barrier_arrival_merge_bit_identical() {
+    for (ix, policy) in barrier_policies().into_iter().enumerate() {
+        for_merge_cells(ix, |n, a, arb, seed| {
+            let sim = BarrierSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
+            assert_eq!(
+                sim.run_with(seed, Kernel::Cycle),
+                sim.run_with(seed, Kernel::Event),
+                "{policy:?} {arb:?} N={n} A={a} seed={seed}"
+            );
+        });
+    }
+}
+
+#[test]
+fn combining_arrival_merge_bit_identical() {
+    for (ix, policy) in barrier_policies().into_iter().enumerate() {
+        for_merge_cells(ix, |n, a, arb, seed| {
+            // Degrees 2, 3 and 8 for N = 8, 24 and 64.
+            let degree = (n / 8).clamp(2, 8);
+            let sim = CombiningTreeSim::new(
+                CombiningConfig::new(n, a, degree).with_arbitration(arb),
+                policy,
+            );
+            assert_eq!(
+                sim.run_with(seed, Kernel::Cycle),
+                sim.run_with(seed, Kernel::Event),
+                "{policy:?} {arb:?} N={n} A={a} d={degree} seed={seed}"
+            );
+        });
+    }
+}
+
+#[test]
+fn resource_arrival_merge_bit_identical() {
+    for (ix, policy) in resource_policies().into_iter().enumerate() {
+        for_merge_cells(ix, |n, a, arb, seed| {
+            let sim = ResourceSim::new(ResourceConfig::new(n, a, 5).with_arbitration(arb), policy);
+            assert_eq!(
+                sim.run_with(seed, Kernel::Cycle),
+                sim.run_with(seed, Kernel::Event),
+                "{policy:?} {arb:?} N={n} A={a} seed={seed}"
+            );
+        });
+    }
+}
+
+#[test]
+fn single_counter_arrival_merge_bit_identical() {
+    for (ix, policy) in barrier_policies().into_iter().enumerate() {
+        for_merge_cells(ix, |n, a, arb, seed| {
+            let sim =
+                SingleCounterSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
+            assert_eq!(
+                sim.run_with(seed, Kernel::Cycle),
+                sim.run_with(seed, Kernel::Event),
+                "{policy:?} {arb:?} N={n} A={a} seed={seed}"
+            );
+        });
+    }
+}
+
 #[test]
 fn circuit_exhaustive_policies_bit_identical() {
     let configs = [

@@ -565,8 +565,9 @@ impl BarrierSim {
     /// two pending-request sets incrementally in a [`PendingSet`] (ranked
     /// by processor id, so random arbitration selects from exactly the
     /// slice the cycle stepper's id-ordered collection scan would build)
-    /// and parks dormant processors (future arrivals, `Waiting { until }`
-    /// backoffs) in a bucketed [`TimeWheel`]. Per busy cycle the work is
+    /// and wakes dormant processors from a bucketed [`TimeWheel`], which
+    /// replays the sorted arrivals from a cursor and parks the
+    /// `Waiting { until }` backoffs. Per busy cycle the work is
     /// O(events), not O(N) — and not O(pending) either: presented-access
     /// charges are applied in bulk when a request leaves its set (a request
     /// is pending on *every* cycle of `[since, served]`, because the clock
@@ -594,10 +595,7 @@ impl BarrierSim {
         let arrivals = rng.uniform_arrivals(n, self.config.span);
 
         let mut now = arrivals[0];
-        let mut wheel = TimeWheel::new(now);
-        for (id, &arrival) in arrivals.iter().enumerate() {
-            wheel.schedule(arrival, id);
-        }
+        let mut wheel = TimeWheel::with_arrivals(&arrivals);
         let mut procs = ProcState::new(arrivals);
 
         let mut barrier_count = 0usize;

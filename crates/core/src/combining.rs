@@ -538,9 +538,9 @@ impl CombiningTreeSim {
     /// Per-node [`PendingSet`]s keyed by node-local slot (see [`NodeSets`])
     /// replace the per-cycle staging scan, an ordered *active-node* index
     /// replaces the all-nodes arbitration loop, and dormant processors
-    /// (future arrivals, `VarWait`/`FlagWait` expiries) park in a
-    /// [`TimeWheel`]. Per busy cycle the work is O(active nodes + events),
-    /// not O(N + nodes).
+    /// wake from a [`TimeWheel`], which replays the sorted arrivals from a
+    /// cursor and parks the `VarWait`/`FlagWait` expiries. Per busy cycle
+    /// the work is O(active nodes + events), not O(N + nodes).
     ///
     /// Bit-identity with the cycle stepper rests on the same three
     /// invariants as the barrier kernel (same busy cycles, same RNG draw
@@ -579,10 +579,7 @@ impl CombiningTreeSim {
 
         let mut now = arrivals[0];
         let mut done = 0usize;
-        let mut wheel = TimeWheel::new(now);
-        for (id, &arrival) in arrivals.iter().enumerate() {
-            wheel.schedule(arrival, id);
-        }
+        let mut wheel = TimeWheel::with_arrivals(&arrivals);
         let mut due: Vec<usize> = Vec::new();
         // (node, variable winner, flag winner), each winner a (slot, proc).
         type Winner = Option<(usize, usize)>;

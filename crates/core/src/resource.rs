@@ -364,12 +364,12 @@ impl ResourceSim {
 
     /// The event-driven skip-ahead kernel.
     ///
-    /// One [`PendingSet`] holds the pollers and the releaser; future events
-    /// (arrivals, backoff expiries, hold completions) park in a
-    /// [`TimeWheel`]; dead cycles are jumped. Presented-access charges are
-    /// applied in bulk when a request leaves the set, with a zero-delay
-    /// poll miss re-aging the request in place so its charge interval runs
-    /// unbroken.
+    /// One [`PendingSet`] holds the pollers and the releaser; a
+    /// [`TimeWheel`] replays the sorted arrivals from a cursor and parks
+    /// the backoff expiries and hold completions; dead cycles are jumped.
+    /// Presented-access charges are applied in bulk when a request leaves
+    /// the set, with a zero-delay poll miss re-aging the request in place
+    /// so its charge interval runs unbroken.
     ///
     /// The cycle stepper's per-cycle `waiters` cohort scan is replaced by a
     /// count maintained at phase transitions: processors enter the cohort
@@ -398,10 +398,7 @@ impl ResourceSim {
         let mut next_ticket = 0usize;
         let mut completed = 0usize;
         let mut makespan = 0u64;
-        let mut wheel = TimeWheel::new(now);
-        for (id, &arrival) in arrivals.iter().enumerate() {
-            wheel.schedule(arrival, id);
-        }
+        let mut wheel = TimeWheel::with_arrivals(&arrivals);
         let mut due: Vec<usize> = Vec::new();
 
         while done < n {

@@ -254,12 +254,13 @@ impl SingleCounterSim {
     /// The event-driven skip-ahead kernel.
     ///
     /// Increments and polls share the single module, so one [`PendingSet`]
-    /// carries both request kinds; future events (arrivals, backoff
-    /// expiries) park in a [`TimeWheel`]. A serve that leaves the processor
-    /// requesting next cycle (increment-to-poll handoff, zero-delay poll
-    /// miss) re-ages the request in place so the bulk presented-access
-    /// charge runs unbroken; the RNG draw order per busy cycle (arbitrate,
-    /// then any sampled poll delay) matches the cycle stepper.
+    /// carries both request kinds; a [`TimeWheel`] replays the sorted
+    /// arrivals from a cursor and parks the backoff expiries. A serve that
+    /// leaves the processor requesting next cycle (increment-to-poll
+    /// handoff, zero-delay poll miss) re-ages the request in place so the
+    /// bulk presented-access charge runs unbroken; the RNG draw order per
+    /// busy cycle (arbitrate, then any sampled poll delay) matches the
+    /// cycle stepper.
     fn run_event_kernel(&self, seed: u64) -> SingleCounterRun {
         let n = self.config.n;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
@@ -277,10 +278,7 @@ impl SingleCounterSim {
         let mut now = arrivals[0];
         let mut count = 0usize;
         let mut done = 0usize;
-        let mut wheel = TimeWheel::new(now);
-        for (id, &arrival) in arrivals.iter().enumerate() {
-            wheel.schedule(arrival, id);
-        }
+        let mut wheel = TimeWheel::with_arrivals(&arrivals);
         let mut due: Vec<usize> = Vec::new();
 
         while done < n {

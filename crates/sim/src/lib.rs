@@ -21,7 +21,8 @@
 //!   ships both a reference cycle stepper and the event-driven skip-ahead
 //!   kernel (bit-identical by contract; `cycle` is the oracle).
 //! * [`wheel`] — the bucketed [`wheel::TimeWheel`] that every skip-ahead
-//!   kernel parks its future wake-ups in.
+//!   kernel parks its future wake-ups in, linked through per-id lists, with
+//!   the closed-population kernels' sorted arrivals replayed from a cursor.
 //! * [`bitset`] — a fixed-capacity [`bitset::FixedBitset`] with ascending
 //!   iteration, the compact id-set the event kernels use at mega-`N`.
 //!

@@ -17,16 +17,31 @@
 //! `base^k`, unbounded for the paper's uncapped curves), which overflow
 //! into a sorted map keyed by absolute time and migrate into the wheel as
 //! the clock approaches them. The structure never inspects more than the
-//! due slot per cycle on the hot path; the O(SLOTS) scan happens only on
-//! [`TimeWheel::peek_min`], which the kernel calls exactly when nothing is
-//! runnable (i.e. when it is about to skip cycles anyway).
+//! due slot per cycle on the hot path; the O(SLOTS / 64) occupancy scan
+//! happens only on [`TimeWheel::peek_min`], which the kernel calls exactly
+//! when nothing is runnable (i.e. when it is about to skip cycles anyway).
+//!
+//! Nothing is allocated per wake-up, per slot or per due time. An id has at
+//! most one pending wake-up, so the pending ids are threaded through one
+//! per-id link array: each near slot and each far due time is a `u32` list
+//! head. The closed-population kernels' arrivals — one per processor, drawn
+//! already sorted by id — are not scheduled at all:
+//! [`TimeWheel::with_arrivals`] replays them from a cursor and merges each
+//! cycle's run into the popped ids.
 
 use std::collections::BTreeMap;
 
-/// A future wake-up: `(due cycle, processor id)`.
-type Entry = (u64, usize);
+/// `next[id]` for an id with no pending wake-up.
+const FREE: u32 = u32::MAX;
+/// `next[id]` for the last id of a list.
+const END: u32 = u32::MAX - 1;
 
 /// A bucketed time wheel over absolute simulation cycles.
+///
+/// Each id may have at most one pending wake-up: scheduling an id that is
+/// already pending (in the wheel or not yet replayed from the arrival
+/// stream) panics. The clock may only advance to a cycle at or before
+/// [`peek_min`](Self::peek_min): a pending wake-up must never be jumped.
 ///
 /// # Examples
 ///
@@ -42,19 +57,39 @@ type Entry = (u64, usize);
 /// wheel.pop_due(5, &mut due);
 /// assert_eq!(due, vec![0, 1]); // ascending id order
 /// assert_eq!(wheel.peek_min(), Some(1_000_000));
+///
+/// // Id `i` arrives at `arrivals[i]`; arrivals merge with wake-ups.
+/// let mut wheel = TimeWheel::with_arrivals(&[3, 3, 9]);
+/// wheel.pop_due(3, &mut due);
+/// assert_eq!(due, vec![0, 1]);
+/// wheel.schedule(9, 0);
+/// wheel.pop_due(9, &mut due);
+/// assert_eq!(due, vec![0, 2]);
+/// assert!(wheel.is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TimeWheel {
-    /// `slots[t % SLOTS]` holds near wake-ups due at cycle `t`.
-    slots: Vec<Vec<Entry>>,
-    /// Bit `s` set iff `slots[s]` is non-empty: `peek_min` scans these four
-    /// words instead of probing up to [`Self::SLOTS`] vectors.
+    /// `heads[t % SLOTS]` starts the list of near ids due at cycle `t`;
+    /// meaningful only while the slot's occupancy bit is set.
+    heads: [u32; Self::SLOTS],
+    /// Bit `s` set iff slot `s` holds a list: `peek_min` scans these four
+    /// words instead of probing up to [`Self::SLOTS`] heads.
     occupancy: [u64; Self::SLOTS / 64],
-    /// Wake-ups at or beyond `horizon`, keyed by due cycle.
-    far: BTreeMap<u64, Vec<usize>>,
+    /// List heads of the wake-ups at or beyond the horizon, by due cycle.
+    far: BTreeMap<u64, u32>,
+    /// The far map's smallest key, `u64::MAX` when it is empty: `pop_due`
+    /// tests it every cycle instead of walking the map.
+    far_min: u64,
+    /// Per-id link: the next id in the same list, [`END`] for the last,
+    /// [`FREE`] for an id with no wake-up in the slots or the far map.
+    next: Vec<u32>,
+    /// Id `i`'s arrival cycle; ascending.
+    arrivals: Vec<u64>,
+    /// The first id whose arrival has not been popped.
+    cursor: usize,
     /// Slots cover due cycles in `[now, horizon)`; `horizon = now + SLOTS`.
     now: u64,
-    /// Total scheduled wake-ups not yet popped.
+    /// Wake-ups in the slots and the far map (arrivals not counted).
     len: usize,
 }
 
@@ -63,15 +98,41 @@ impl TimeWheel {
     /// O(1) to schedule and pop. Must be a power of two.
     pub const SLOTS: usize = 256;
 
-    /// Creates a wheel whose clock starts at `now`.
+    /// Creates an empty wheel whose clock starts at `now`.
     pub fn new(now: u64) -> Self {
         Self {
-            slots: vec![Vec::new(); Self::SLOTS],
+            heads: [END; Self::SLOTS],
             occupancy: [0; Self::SLOTS / 64],
             far: BTreeMap::new(),
+            far_min: u64::MAX,
+            next: Vec::new(),
+            arrivals: Vec::new(),
+            cursor: 0,
             now,
             len: 0,
         }
+    }
+
+    /// Creates a wheel, clock at 0, in which id `i` is due at
+    /// `arrivals[i]`.
+    ///
+    /// The arrivals are replayed in order rather than scheduled, so the
+    /// slice must be sorted ascending (as
+    /// [`uniform_arrivals`](crate::rng::Xoshiro256PlusPlus::uniform_arrivals)
+    /// draws it). An id may be scheduled again once its arrival is popped.
+    ///
+    /// # Panics
+    ///
+    /// If `arrivals` is not sorted ascending.
+    pub fn with_arrivals(arrivals: &[u64]) -> Self {
+        assert!(
+            arrivals.windows(2).all(|w| w[0] <= w[1]),
+            "arrivals must be sorted ascending"
+        );
+        let mut wheel = Self::new(0);
+        wheel.arrivals = arrivals.to_vec();
+        wheel.next = vec![FREE; arrivals.len()];
+        wheel
     }
 
     /// Marks slot `s` occupied.
@@ -80,96 +141,132 @@ impl TimeWheel {
         self.occupancy[s / 64] |= 1u64 << (s % 64);
     }
 
-    /// Scheduled wake-ups not yet popped.
+    /// Whether slot `s` holds a list.
+    #[inline]
+    fn occupied(&self, s: usize) -> bool {
+        self.occupancy[s / 64] & (1u64 << (s % 64)) != 0
+    }
+
+    /// Pending wake-ups, arrivals not yet popped included.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.arrivals.len() - self.cursor
     }
 
     /// Whether no wake-up is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Schedules a wake-up for processor `id` at absolute cycle `time`.
     ///
     /// `time` may not precede the wheel's current cycle (a wake-up in the
     /// past could never be popped).
+    ///
+    /// # Panics
+    ///
+    /// If `id` already has a pending wake-up, or `id >= u32::MAX - 1`.
     pub fn schedule(&mut self, time: u64, id: usize) {
         debug_assert!(time >= self.now, "wake-up at {time} scheduled in the past of {}", self.now);
+        let link = u32::try_from(id).unwrap_or(END);
+        assert!(link < END, "id {id} does not fit the wheel's u32 links");
+        if id >= self.next.len() {
+            self.next.resize(id + 1, FREE);
+        }
+        assert!(
+            self.next[id] == FREE && !(self.cursor..self.arrivals.len()).contains(&id),
+            "id {id} already has a pending wake-up"
+        );
         self.len += 1;
         if time - self.now < Self::SLOTS as u64 {
             let s = (time % Self::SLOTS as u64) as usize;
-            self.slots[s].push((time, id));
+            self.next[id] = if self.occupied(s) { self.heads[s] } else { END };
+            self.heads[s] = link;
             self.mark(s);
         } else {
-            self.far.entry(time).or_default().push(id);
+            let head = self.far.entry(time).or_insert(END);
+            self.next[id] = *head;
+            *head = link;
+            self.far_min = self.far_min.min(time);
         }
     }
 
-    /// Advances the clock to `now` and appends every wake-up due at or
-    /// before `now` to `due`, sorted by processor id.
+    /// Advances the clock to `now` and appends every wake-up due at `now`
+    /// to `due`, sorted by processor id.
     ///
-    /// The kernel advances the clock either by one cycle or by jumping to
-    /// [`peek_min`](Self::peek_min), so in practice every popped wake-up is
-    /// due *exactly* at `now`; the `<=` is defensive.
+    /// `now` may not pass a pending wake-up: the kernel advances the clock
+    /// either by one cycle or by jumping to [`peek_min`](Self::peek_min).
     pub fn pop_due(&mut self, now: u64, due: &mut Vec<usize>) {
         due.clear();
         debug_assert!(now >= self.now, "clock moved backwards");
+        debug_assert!(
+            self.peek_min().is_none_or(|t| t >= now),
+            "clock jumped to {now} over a wake-up due earlier"
+        );
         // Migrate far wake-ups that entered the slot horizon. Jumps land on
         // the earliest pending wake-up, so a jump across the horizon moves
-        // exactly the entries that are now near.
+        // exactly the entries that are now near, and each lands in an empty
+        // slot: a near list due at another time with the same residue would
+        // lie a whole `SLOTS` behind it, i.e. before `now`.
         let horizon = now.saturating_add(Self::SLOTS as u64);
-        while let Some((&t, _)) = self.far.first_key_value() {
-            if t >= horizon {
-                break;
-            }
-            let ids = self.far.remove(&t).expect("peeked key exists"); // abs-lint: allow(panic-path) -- the key was just peeked from the same map
+        while self.far_min < horizon {
+            let Some((t, head)) = self.far.pop_first() else { break };
             let s = (t % Self::SLOTS as u64) as usize;
-            for id in ids {
-                self.slots[s].push((t, id));
-            }
+            debug_assert!(!self.occupied(s), "far wake-ups at {t} migrate into a used slot");
+            self.heads[s] = head;
             self.mark(s);
+            self.far_min = self.far.first_key_value().map_or(u64::MAX, |(&t, _)| t);
         }
         self.now = now;
         let s = (now % Self::SLOTS as u64) as usize;
-        let slot = &mut self.slots[s];
-        let mut i = 0;
-        while i < slot.len() {
-            if slot[i].0 <= now {
-                debug_assert_eq!(slot[i].0, now, "due wake-up skipped over");
-                due.push(slot.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        if slot.is_empty() {
+        if self.occupied(s) {
             self.occupancy[s / 64] &= !(1u64 << (s % 64));
+            let mut id = self.heads[s];
+            while id != END {
+                let at = id as usize;
+                due.push(at);
+                id = std::mem::replace(&mut self.next[at], FREE);
+            }
+            self.len -= due.len();
+            due.sort_unstable();
         }
-        self.len -= due.len();
-        due.sort_unstable();
+        // The arrivals due now are the id range `first..cursor`; no id in it
+        // can also sit in the slots, so it splices in at its rank.
+        let first = self.cursor;
+        while self.arrivals.get(self.cursor).is_some_and(|&t| t <= now) {
+            self.cursor += 1;
+        }
+        if self.cursor > first {
+            let at = due.partition_point(|&id| id < first);
+            due.splice(at..at, first..self.cursor);
+        }
     }
 
     /// The earliest pending wake-up cycle, or `None` when empty.
     ///
     /// Called only when the kernel has nothing runnable and is about to
-    /// jump the clock. Every near entry's due time is in `[now, now +
+    /// jump the clock. Every near list's due time is in `[now, now +
     /// SLOTS)` (dues at `now` are popped before the clock moves, and jumps
     /// land on the minimum, so nothing is ever left behind the clock),
-    /// which means a slot holds at most one distinct due time — two times
-    /// with the same residue would be `SLOTS` apart. The first occupied
-    /// slot in circular time order from `now` therefore holds the minimum;
-    /// the occupancy bitmap finds it in at most `SLOTS / 64 + 1` word
-    /// scans (no per-slot probing). The far map only holds times at or
-    /// beyond the horizon, so it cannot undercut a near hit.
+    /// which means a slot holds one distinct due time — two times with the
+    /// same residue would be `SLOTS` apart — and that time follows from the
+    /// slot's offset to `now`. The first occupied slot in circular time
+    /// order from `now` therefore holds the near minimum; the occupancy
+    /// bitmap finds it in at most `SLOTS / 64 + 1` word scans (no per-slot
+    /// probing). The far map only holds times at or beyond the horizon, so
+    /// it cannot undercut a near hit. The next arrival competes with both.
     pub fn peek_min(&self) -> Option<u64> {
-        if let Some(s) = self.first_occupied() {
-            let &(slot_t, _) = self.slots[s]
-                .first()
-                .expect("occupancy bit set on an empty slot"); // abs-lint: allow(panic-path) -- bits are cleared whenever a slot drains
-            debug_assert!(slot_t >= self.now, "stale entry behind the clock");
-            return Some(slot_t);
+        if self.is_empty() {
+            return None;
         }
-        self.far.first_key_value().map(|(&t, _)| t)
+        let wheel_min = match self.first_occupied() {
+            Some(s) => {
+                let offset = (s as u64).wrapping_sub(self.now) % Self::SLOTS as u64;
+                self.now + offset
+            }
+            None => self.far_min,
+        };
+        let arrival = self.arrivals.get(self.cursor).copied().unwrap_or(u64::MAX);
+        Some(wheel_min.min(arrival))
     }
 
     /// Index of the first occupied slot in circular order starting at
@@ -260,38 +357,123 @@ mod tests {
         assert_eq!(pop(&mut wheel, 1 + TimeWheel::SLOTS as u64), vec![1]);
     }
 
+    /// Drives `wheel` through a random schedule/advance workload and checks
+    /// every `pop_due`, `peek_min` and `len` against a plain list of
+    /// `(due, id)` pairs that starts as `model`. Ids are drawn only from
+    /// those not pending (the per-id contract), up to `max_id` — past the
+    /// link array's current length for a fresh wheel — and dues mix the
+    /// next cycle, near slots, the horizon edge (`SLOTS - 1`, `SLOTS`,
+    /// `SLOTS + 1` ahead), far times and the cycles of pending arrivals.
+    fn churn_against_model(
+        mut wheel: TimeWheel,
+        mut model: Vec<(u64, usize)>,
+        start: u64,
+        max_id: usize,
+        seed: u64,
+    ) {
+        use crate::rng::Xoshiro256PlusPlus;
+        let slots = TimeWheel::SLOTS as u64;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let mut now = start;
+        let mut due = Vec::new();
+        for step in 0..3_000 {
+            wheel.pop_due(now, &mut due);
+            let mut want: Vec<usize> =
+                model.iter().filter(|&&(t, _)| t == now).map(|&(_, id)| id).collect();
+            want.sort_unstable();
+            assert_eq!(due, want, "step {step} at cycle {now}");
+            model.retain(|&(t, _)| t != now);
+            for _ in 0..rng.next_below(4) {
+                let id = rng.next_below_usize(max_id);
+                if model.iter().any(|&(_, p)| p == id) {
+                    continue;
+                }
+                let t = match rng.next_below(6) {
+                    0 => now + 1,
+                    1 => now + slots - 1 + rng.next_below(3),
+                    2 => now + 1 + rng.next_below(4 * slots),
+                    3 => now + slots + rng.next_below(1 << 20),
+                    // Share a cycle with a pending wake-up or arrival.
+                    _ => match model.iter().map(|&(t, _)| t).filter(|&t| t > now).min() {
+                        Some(t) => t,
+                        None => now + 1 + rng.next_below(slots),
+                    },
+                };
+                wheel.schedule(t, id);
+                model.push((t, id));
+            }
+            assert_eq!(wheel.len(), model.len(), "step {step}");
+            let min = model.iter().map(|&(t, _)| t).min();
+            assert_eq!(wheel.peek_min(), min, "step {step}");
+            // Advance: half the time by one cycle, half by jumping (often
+            // across the horizon).
+            now = match min {
+                Some(t) if rng.next_bool(0.5) => t,
+                _ => now + 1,
+            };
+        }
+        // Drain whatever is left by jumping.
+        while let Some(t) = wheel.peek_min() {
+            assert_eq!(Some(t), model.iter().map(|&(t, _)| t).min());
+            wheel.pop_due(t, &mut due);
+            model.retain(|&(mt, _)| mt != t);
+            assert_eq!(wheel.len(), model.len());
+        }
+        assert!(model.is_empty());
+    }
+
     #[test]
     fn peek_min_matches_naive_min_under_churn() {
-        // Drive the wheel through a random schedule/pop workload while
-        // shadowing it with a plain sorted list; peek_min (the occupancy-
-        // bitmap scan) must always agree with the true minimum.
-        use crate::rng::Xoshiro256PlusPlus;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x11EE1);
-        let mut wheel = TimeWheel::new(0);
-        let mut shadow: Vec<u64> = Vec::new();
-        let mut now = 0u64;
-        let mut due = Vec::new();
-        for step in 0..2_000 {
-            // Schedule a burst at mixed distances: same-slot, near, far.
-            for id in 0..(rng.next_below(4) as usize) {
-                let t = now + 1 + rng.next_below(600);
-                wheel.schedule(t, id);
-                shadow.push(t);
-            }
-            assert_eq!(wheel.peek_min(), shadow.iter().copied().min(), "step {step}");
-            // Advance: half the time by one cycle, half by jumping.
-            now = if rng.next_bool(0.5) {
-                now + 1
-            } else {
-                match wheel.peek_min() {
-                    Some(t) => t,
-                    None => now + 1,
-                }
-            };
-            wheel.pop_due(now, &mut due);
-            shadow.retain(|&t| t > now);
-            assert_eq!(wheel.len(), shadow.len(), "step {step}");
+        for seed in 0..4u64 {
+            churn_against_model(TimeWheel::new(1_000), Vec::new(), 1_000, 48, 0x11EE1 + seed);
         }
+    }
+
+    #[test]
+    fn arrival_stream_matches_model_under_churn() {
+        use crate::rng::Xoshiro256PlusPlus;
+        for (seed, span) in [(1u64, 0u64), (2, 5), (3, 255), (4, 256), (5, 257), (6, 2_000)] {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let arrivals = rng.uniform_arrivals(40, span);
+            let model: Vec<(u64, usize)> =
+                arrivals.iter().enumerate().map(|(id, &t)| (t, id)).collect();
+            let wheel = TimeWheel::with_arrivals(&arrivals);
+            // Ids past the arrival range grow the link array on demand.
+            churn_against_model(wheel, model, arrivals[0], 64, seed);
+        }
+    }
+
+    #[test]
+    fn arrivals_merge_with_wake_ups_in_id_order() {
+        let mut wheel = TimeWheel::with_arrivals(&[2, 4, 4, 4, 300]);
+        assert_eq!(wheel.len(), 5);
+        assert_eq!(wheel.peek_min(), Some(2));
+        assert_eq!(pop(&mut wheel, 2), vec![0]);
+        wheel.schedule(4, 0);
+        wheel.schedule(4, 7);
+        assert_eq!(wheel.peek_min(), Some(4));
+        assert_eq!(pop(&mut wheel, 4), vec![0, 1, 2, 3, 7]);
+        wheel.schedule(300, 1);
+        wheel.schedule(5 + 2 * TimeWheel::SLOTS as u64, 2);
+        assert_eq!(wheel.peek_min(), Some(300));
+        assert_eq!(pop(&mut wheel, 300), vec![1, 4]);
+        assert_eq!(wheel.peek_min(), Some(5 + 2 * TimeWheel::SLOTS as u64));
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a pending wake-up")]
+    fn double_schedule_panics() {
+        let mut wheel = TimeWheel::new(0);
+        wheel.schedule(5, 1);
+        wheel.schedule(5 + TimeWheel::SLOTS as u64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already has a pending wake-up")]
+    fn scheduling_a_pending_arrival_panics() {
+        let mut wheel = TimeWheel::with_arrivals(&[3, 8]);
+        assert_eq!(pop(&mut wheel, 3), vec![0]);
+        wheel.schedule(5, 1);
     }
 
     #[test]
