@@ -126,6 +126,68 @@ fn barrier_fenwick_scale_bit_identical_n65536() {
     );
 }
 
+/// The policies whose poll misses the untraced event kernel only draws
+/// for: no backoff, variable backoff at its default and at a factor and
+/// offset large enough to park waits past the wheel's 256-slot horizon
+/// (its far tier), and a flag policy whose zero step makes it one.
+fn zero_delay_poll_policies() -> [BackoffPolicy; 4] {
+    [
+        BackoffPolicy::None,
+        BackoffPolicy::on_variable(),
+        BackoffPolicy::OnVariable {
+            factor: 16,
+            offset: 300,
+        },
+        BackoffPolicy::Linear { step: 0 },
+    ]
+}
+
+/// Random-arbitration cells where poll-only stretches end on an arrival,
+/// on a variable-wait expiry or on a far-tier migration: `A` on either
+/// side of the wheel's horizon and well past it.
+fn for_each_zero_delay_poll_cell(mut check: impl FnMut(&BarrierSim, u64, &str)) {
+    for policy in zero_delay_poll_policies() {
+        for n in [1usize, 2, 3, 17, 64, 257] {
+            for a in [0u64, 1, 255, 256, 257, 1000, 5000] {
+                let sim = BarrierSim::new(
+                    BarrierConfig::new(n, a).with_arbitration(Arbitration::Random),
+                    policy,
+                );
+                for s in 0..3u64 {
+                    let seed = derive_seed(0x2E40, (n as u64) << 40 | a << 8 | s);
+                    check(&sim, seed, &format!("{policy:?} N={n} A={a} seed={seed}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn barrier_zero_delay_polls_bit_identical() {
+    for_each_zero_delay_poll_cell(|sim, seed, cell| {
+        assert_eq!(
+            sim.run_with(seed, Kernel::Cycle),
+            sim.run_with(seed, Kernel::Event),
+            "{cell}"
+        );
+    });
+}
+
+#[test]
+fn barrier_zero_delay_polls_untraced_matches_traced() {
+    // A traced run takes the event kernel's full path (every poll miss
+    // resolved); the untraced run only draws for the misses. The ring is
+    // small: the run, not the trace, is compared.
+    for_each_zero_delay_poll_cell(|sim, seed, cell| {
+        let mut ring = Ring::new(1 << 10);
+        assert_eq!(
+            sim.run_traced_with(seed, &mut ring, Kernel::Event),
+            sim.run_with(seed, Kernel::Event),
+            "{cell}"
+        );
+    });
+}
+
 #[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();

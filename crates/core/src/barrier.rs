@@ -585,7 +585,18 @@ impl BarrierSim {
     ///    flag arbitration, then any sampled backoff delay. Both modules
     ///    are arbitrated on snapshots taken before either winner's
     ///    transition is applied; a variable winner's flag request becomes
-    ///    pending at `now + 1`, exactly as in the cycle stepper.
+    ///    pending at `now + 1`, exactly as in the cycle stepper. Draws are
+    ///    always kept, but a winner nobody can observe is not resolved:
+    ///    untraced, under random arbitration and a policy that
+    ///    [re-polls immediately](BackoffPolicy::repolls_immediately),
+    ///    every flag winner before the last variable win is a poll miss
+    ///    that stays pending and changes only its access count (charged
+    ///    in bulk anyway) and the arbiter's draw. The flag module then
+    ///    only [draws](PendingSet::draw_unobserved); with no variable
+    ///    request either, the kernel makes every draw up to the next
+    ///    wake-up in one loop and jumps there. The skipped misses leave
+    ///    poll counts and request ages stale; only the trace, the
+    ///    policy's delay and the ordered arbiters would read them.
     /// 3. **Same trace order.** Activations fire in id order (the wheel
     ///    pops sorted), counters sample the same busy cycles, and the
     ///    variable handler's events precede the flag handler's.
@@ -616,6 +627,12 @@ impl BarrierSim {
         // when a queue-on-threshold policy parks most of a mega-N barrier.
         let mut queued = FixedBitset::new(n);
         let mut due: Vec<usize> = Vec::new();
+        // Whether a poll miss before the last variable win is unobservable
+        // (invariant 2): nothing is traced, the arbiter reads no winner
+        // history, and the policy re-polls at once without drawing.
+        let unobserved_misses = !sink.enabled()
+            && self.config.arbitration == Arbitration::Random
+            && self.policy.repolls_immediately();
 
         while done < n {
             // Activate arrivals and expired waits due this cycle, in id
@@ -651,13 +668,35 @@ impl BarrierSim {
                 sink.counter(lane(n), now, "flag_queue", &[("waiters", flag_pending.len() as f64)]);
             }
 
+            // Until the last variable win the flag writer is not pending,
+            // so every flag winner is a poll miss; when those misses are
+            // unobservable, only their draws are kept. With the variable
+            // set empty too, nothing changes before the next wake-up:
+            // draw for every cycle up to it and jump there.
+            let draw_only = unobserved_misses && barrier_count < n;
+            if draw_only && var_pending.is_empty() {
+                let next = wheel
+                    .peek_min()
+                    .expect("processors yet to win the variable have a next event"); // abs-lint: allow(panic-path) -- barrier_count < n with no variable request leaves an arrival or wait in the wheel
+                for _ in now..next {
+                    flag_pending.draw_unobserved(&mut rng);
+                }
+                now = next;
+                continue;
+            }
+
             // Arbitrate both modules on this cycle's snapshots. The RNG
             // draw order (variable, then flag) matches the cycle stepper;
             // the variable winner's transition cannot join this cycle's
             // flag arbitration because its flag request is pending only
             // from `now + 1`.
             let var_winner = var_pending.arbitrate(&mut rng);
-            let flag_winner = flag_pending.arbitrate(&mut rng);
+            let flag_winner = if draw_only {
+                flag_pending.draw_unobserved(&mut rng);
+                None
+            } else {
+                flag_pending.arbitrate(&mut rng)
+            };
 
             // Serve the barrier-variable winner.
             if let Some(winner) = var_winner {

@@ -23,15 +23,14 @@
 //! the event-driven skip-ahead kernel, which keeps one [`PendingSet`] per
 //! node module, keyed by node-local slot so a node's set is sized by its
 //! fan-in rather than by `N`, tracks the set of *active* nodes (any
-//! pending request) in an ordered index, parks dormant processors in a
-//! [`TimeWheel`], and jumps the clock over dead cycles. Presented-access
+//! pending request) in a bitset over node ids, parks dormant processors
+//! in a [`TimeWheel`], and jumps the clock over dead cycles. Presented-access
 //! charges — including the per-module counters behind
 //! [`CombiningRun::max_module_accesses`] — are applied in bulk when a
 //! request leaves its set.
 
-use std::collections::BTreeSet;
-
 use abs_net::module::{Arbitration, MemoryModule, PendingSet, Request};
+use abs_sim::bitset::FixedBitset;
 use abs_sim::kernel::Kernel;
 use abs_sim::rng::Xoshiro256PlusPlus;
 use abs_sim::wheel::TimeWheel;
@@ -536,11 +535,15 @@ impl CombiningTreeSim {
     /// The event-driven skip-ahead kernel.
     ///
     /// Per-node [`PendingSet`]s keyed by node-local slot (see [`NodeSets`])
-    /// replace the per-cycle staging scan, an ordered *active-node* index
+    /// replace the per-cycle staging scan, an *active-node* bitset
     /// replaces the all-nodes arbitration loop, and dormant processors
     /// wake from a [`TimeWheel`], which replays the sorted arrivals from a
     /// cursor and parks the `VarWait`/`FlagWait` expiries. Per busy cycle
-    /// the work is O(active nodes + events), not O(N + nodes).
+    /// the work is O(nodes / 64 + active nodes + events), not
+    /// O(N + nodes): the bitset's ascending scan reads every word, which
+    /// at the trees' node counts (257 at N = 2²⁰, d = 4096) is a few
+    /// words, and in exchange activating or retiring a node is one bit
+    /// flip with no allocation.
     ///
     /// Bit-identity with the cycle stepper rests on the same three
     /// invariants as the barrier kernel (same busy cycles, same RNG draw
@@ -565,7 +568,7 @@ impl CombiningTreeSim {
         let mut flag = NodeSets::new(&nodes, self.config.arbitration, degree);
         // Nodes with at least one pending request, ascending — exactly the
         // nodes whose arbitration could draw this cycle.
-        let mut active: BTreeSet<usize> = BTreeSet::new();
+        let mut active = FixedBitset::new(nodes.len());
 
         let mut phases: Vec<Phase> = vec![Phase::NotArrived; n];
         let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -632,7 +635,7 @@ impl CombiningTreeSim {
             // lists are fixed before its arbitration loop runs, so later
             // nodes never see earlier winners' transitions).
             winners.clear();
-            for &v in active.iter() {
+            for v in &active {
                 let var_winner = var.arbitrate(v, &mut rng);
                 let flag_winner = flag.arbitrate(v, &mut rng);
                 winners.push((v, var_winner, flag_winner));
@@ -780,7 +783,7 @@ impl CombiningTreeSim {
                 // (a release or climb inserting at `now + 1` calls
                 // `active.insert` again), so deactivating eagerly is safe.
                 if var.pending[v].is_empty() && flag.pending[v].is_empty() {
-                    active.remove(&v);
+                    active.remove(v);
                 }
             }
 

@@ -181,6 +181,27 @@ impl BackoffPolicy {
         }
     }
 
+    /// Whether every unsuccessful served flag read re-polls on the very
+    /// next cycle and draws nothing: [`Self::sampled_flag_delay`] is
+    /// `Some(0)` at every `k` and never touches the generator. A poll miss
+    /// under such a policy changes nothing but the access count and the
+    /// arbiter's draw, which lets the barrier's event kernel skip
+    /// resolving it. True for [`BackoffPolicy::None`] and
+    /// [`BackoffPolicy::OnVariable`], and for the flag policies only at
+    /// degenerate zero parameters. No `_` arm: a new variant must decide.
+    pub fn repolls_immediately(&self) -> bool {
+        match *self {
+            BackoffPolicy::None | BackoffPolicy::OnVariable { .. } => true,
+            BackoffPolicy::Linear { step } => step == 0,
+            // `0^k = 0` for every `k >= 1`; a zero cap clamps any delay.
+            BackoffPolicy::Exponential { base, cap } => base == 0 || cap == Some(0),
+            // Draws its delay from the generator on every miss.
+            BackoffPolicy::ExponentialJittered { .. } => false,
+            // A zero delay never exceeds the threshold, so it never parks.
+            BackoffPolicy::QueueOnThreshold { base, .. } => base == 0,
+        }
+    }
+
     /// The wake-up overhead paid by a parked process, in cycles; zero for
     /// policies that never park.
     pub fn wake_cost(&self) -> u64 {
@@ -314,6 +335,58 @@ mod tests {
         assert_eq!(p.flag_delay(4), Some(16));
         assert_eq!(p.flag_delay(5), None);
         assert_eq!(p.wake_cost(), 100);
+    }
+
+    #[test]
+    fn repolls_immediately_matches_sampled_delays() {
+        // Every variant, with ordinary and degenerate zero parameters: the
+        // method is true exactly when every miss k = 1..=64 re-polls at
+        // once under both delay functions and leaves the generator alone.
+        let policies = [
+            BackoffPolicy::None,
+            BackoffPolicy::on_variable(),
+            BackoffPolicy::OnVariable {
+                factor: 4,
+                offset: 100,
+            },
+            BackoffPolicy::Linear { step: 0 },
+            BackoffPolicy::Linear { step: 3 },
+            BackoffPolicy::Exponential { base: 0, cap: None },
+            BackoffPolicy::Exponential { base: 1, cap: None },
+            BackoffPolicy::exponential(2),
+            BackoffPolicy::exponential_capped(8, 100),
+            BackoffPolicy::Exponential {
+                base: 4,
+                cap: Some(0),
+            },
+            BackoffPolicy::ExponentialJittered { base: 0 },
+            BackoffPolicy::ExponentialJittered { base: 2 },
+            BackoffPolicy::QueueOnThreshold {
+                base: 0,
+                threshold: 0,
+                wake_cost: 10,
+            },
+            BackoffPolicy::QueueOnThreshold {
+                base: 2,
+                threshold: 64,
+                wake_cost: 10,
+            },
+        ];
+        for p in policies {
+            let mut rng = abs_sim::rng::Xoshiro256PlusPlus::seed_from_u64(5);
+            let zero_and_silent = (1..=64u32).all(|k| {
+                let before = rng.clone();
+                let sampled = p.sampled_flag_delay(k, &mut rng);
+                p.flag_delay(k) == Some(0) && sampled == Some(0) && rng == before
+            });
+            assert_eq!(p.repolls_immediately(), zero_and_silent, "{p:?}");
+        }
+        assert!(BackoffPolicy::figure_policies()[..2]
+            .iter()
+            .all(BackoffPolicy::repolls_immediately));
+        assert!(!BackoffPolicy::figure_policies()[2..]
+            .iter()
+            .any(BackoffPolicy::repolls_immediately));
     }
 
     #[test]

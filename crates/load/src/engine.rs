@@ -428,8 +428,11 @@ impl OpenLoopSim {
                 sink.span_end(lane(p), now, job.op.label(), &[]);
             }
 
-            // 4. Admissions, ascending processor id.
-            if active && idle_procs > 0 {
+            // 4. Admissions, ascending processor id. An empty pool admits
+            // nothing; skipping it spares `pick` a walk over every tenant
+            // queue (a no-op on an empty pool, pinned by abs-trace's
+            // `sched` tests).
+            if active && idle_procs > 0 && policy.pending() > 0 {
                 for p in 0..procs {
                     if state[p] != ProcState::Idle {
                         continue;

@@ -609,6 +609,31 @@ impl PendingSet {
         self.last_winner = Some(winner);
         Some(winner)
     }
+
+    /// Advances `rng` exactly as [`Self::arbitrate`] would on this set —
+    /// the same single `next_below_usize(len)` draw, rejection loop
+    /// included, and no draw on an empty set — without resolving the
+    /// winner. For a caller that knows every winner's service changes
+    /// nothing it can observe (the barrier kernel's zero-delay poll
+    /// misses), this keeps the draw sequence and skips the select.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the set arbitrates at random: round-robin and
+    /// oldest-first winners move state (`last_winner`, request ages) that
+    /// later picks read, so they cannot go unresolved.
+    #[inline]
+    pub fn draw_unobserved(&self, rng: &mut Xoshiro256PlusPlus) {
+        assert_eq!(
+            self.policy,
+            Arbitration::Random,
+            "only random arbitration can leave its winner unresolved"
+        );
+        let len = self.len();
+        if len > 0 {
+            rng.next_below_usize(len);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -772,6 +797,42 @@ mod tests {
         let mut b = rng();
         assert_eq!(set.arbitrate(&mut b), None);
         assert_eq!(before, b.next_u64());
+    }
+
+    #[test]
+    fn draw_unobserved_advances_rng_like_arbitrate() {
+        // Both layouts (the vector up to 16, the word index above), at
+        // lengths on either side of a word, each declared at its own
+        // width and inside a mega-N set, in lockstep for 1000 draws.
+        for len in [1usize, 2, 63, 64, 65, 4096] {
+            for capacity in [len, 1 << 16] {
+                let mut set = PendingSet::new(Arbitration::Random, capacity);
+                for id in 0..len {
+                    set.insert(Request::new(id, 0));
+                }
+                let mut drawn = rng();
+                let mut arbitrated = rng();
+                for draw in 0..1000 {
+                    set.draw_unobserved(&mut drawn);
+                    assert!(set.arbitrate(&mut arbitrated).is_some());
+                    assert_eq!(drawn, arbitrated, "len {len} capacity {capacity} draw {draw}");
+                }
+                assert_eq!(set.len(), len);
+            }
+        }
+        // An empty set draws nothing, like `arbitrate`.
+        let mut r = rng();
+        PendingSet::new(Arbitration::Random, 4).draw_unobserved(&mut r);
+        assert_eq!(r, rng());
+    }
+
+    #[test]
+    fn draw_unobserved_rejects_ordered_arbitration() {
+        for policy in [Arbitration::RoundRobin, Arbitration::OldestFirst] {
+            let set = PendingSet::new(policy, 4);
+            let outcome = std::panic::catch_unwind(|| set.draw_unobserved(&mut rng()));
+            assert!(outcome.is_err(), "{policy:?} must refuse an unresolved draw");
+        }
     }
 
     #[test]

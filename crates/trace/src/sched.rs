@@ -511,6 +511,42 @@ mod tests {
     }
 
     #[test]
+    fn empty_pool_pick_is_a_no_op() {
+        // The open-loop engine skips `pick` while nothing is pending; that
+        // is bit-identical only if a pick on an empty pool returns `None`
+        // and leaves every later decision unchanged. Run one call sequence
+        // with an empty-pool pick wherever the pool drains, and once
+        // without, and compare every decision.
+        for kind in SchedKind::ALL {
+            let weights = [3, 1, 2];
+            let mut probed = kind.build(&weights);
+            let mut plain = kind.build(&weights);
+            let mut arrivals = 0u64;
+            for round in 0..40u64 {
+                for _ in 0..round % 4 {
+                    let tenant = (arrivals * 7 % 3) as usize;
+                    probed.on_arrival(tenant, arrivals, round);
+                    plain.on_arrival(tenant, arrivals, round);
+                    arrivals += 1;
+                }
+                for _ in 0..round % 3 + 1 {
+                    if probed.pending() == 0 {
+                        assert_eq!(probed.pick(round), None, "{}", kind.name());
+                        assert_eq!(probed.pending(), 0, "{}", kind.name());
+                        continue;
+                    }
+                    let picked = plain.pick(round);
+                    assert_eq!(probed.pick(round), picked, "{} round {round}", kind.name());
+                    let (tenant, job) = picked.expect("pending pool");
+                    probed.on_complete(tenant, 10 + job % 5, round);
+                    plain.on_complete(tenant, 10 + job % 5, round);
+                }
+            }
+            assert!(arrivals > 0);
+        }
+    }
+
+    #[test]
     fn pending_counts_track_arrivals_and_picks() {
         for kind in SchedKind::ALL {
             let mut policy = kind.build(&[1, 1]);
