@@ -10,7 +10,6 @@
 //! cargo run -p abs-bench --release --bin repro -- --trace t.json --metrics fig7
 //! cargo run -p abs-bench --release --bin repro -- --kernel cycle fig7
 //! cargo run -p abs-bench --release --bin repro -- --list
-//! cargo run -p abs-bench --release --bin repro -- lint --json
 //! cargo run -p abs-bench --release --bin repro -- analyze repro_out/t.json
 //! ```
 //!
@@ -69,7 +68,6 @@ fn main() -> ExitCode {
             eprintln!("{message}\n\n{}", cli::help());
             ExitCode::FAILURE
         }
-        Parsed::Lint { json } => lint(json),
         Parsed::Analyze { file, json } => analyze(&file, json),
         Parsed::Run(options) => run(options),
     }
@@ -130,34 +128,6 @@ fn analyze(file: &std::path::Path, json: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// `repro lint [--json]`: the abs-lint pass over this workspace. Exits 0
-/// when clean, 1 on any finding.
-fn lint(json: bool) -> ExitCode {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = match abs_lint::lint_workspace(&root) {
-        Ok(report) => report,
-        Err(message) => {
-            eprintln!("repro lint: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.to_text());
-    if json {
-        match report.write_json(&default_out_dir()) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("repro lint: cannot write JSON report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 /// The workspace `repro_out/` directory (manifest home when `--csv` is not

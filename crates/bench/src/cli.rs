@@ -73,11 +73,6 @@ pub enum Parsed {
     Help,
     /// Print the exhibit table and exit successfully.
     List,
-    /// Run the abs-lint static-analysis pass (`repro lint [--json]`).
-    Lint {
-        /// Also write `repro_out/lint_report.json`.
-        json: bool,
-    },
     /// Run the abs-insight analysis passes over a Chrome trace file
     /// (`repro analyze <trace.json> [--json]`).
     Analyze {
@@ -104,22 +99,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     let mut targets: Vec<String> = Vec::new();
 
     let mut args = args.into_iter().peekable();
-    // `repro lint [--json]` is a subcommand, not an experiment run.
-    if args.peek().map(String::as_str) == Some("lint") {
-        args.next();
-        let mut json = false;
-        for arg in args {
-            match arg.as_str() {
-                "--json" => json = true,
-                other => {
-                    return Parsed::Error(format!(
-                        "unknown lint argument {other:?}; usage: repro lint [--json]"
-                    ));
-                }
-            }
-        }
-        return Parsed::Lint { json };
-    }
     // `repro analyze <trace.json> [--json]` replays the abs-insight passes
     // over a previously written `--trace` file.
     if args.peek().map(String::as_str) == Some("analyze") {
@@ -208,7 +187,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                 let Some(v) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
                     return Parsed::Error("--load needs a positive rate multiplier".into());
                 };
-                if !(v > 0.0) || !v.is_finite() {
+                if v <= 0.0 || !v.is_finite() {
                     return Parsed::Error(
                         "--load 0 would offer no traffic; use a positive rate multiplier"
                             .into(),
@@ -216,8 +195,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                 }
                 // Stored as permille so ReproConfig stays Eq-comparable
                 // for the --resume manifest check.
-                config.load =
-                    Some(u32::try_from((v * 1000.0).round().max(1.0) as u64).unwrap_or(u32::MAX));
+                #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
+                let permille = (v * 1000.0).round().max(1.0) as u64;
+                config.load = Some(u32::try_from(permille).unwrap_or(u32::MAX));
             }
             "--tenants" => {
                 let Some(v) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
@@ -298,7 +278,6 @@ pub fn help() -> String {
          usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K] [--resume]\n\
         \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
-        \x20       repro lint [--json]\n\
         \x20       repro analyze <trace.json> [--json]\n\n\
          --jobs N    run exhibits on N worker threads (default: available\n\
         \x20            parallelism); output is bit-identical at any N\n\
@@ -317,9 +296,6 @@ pub fn help() -> String {
          --sched P   open-loop exhibits only: restrict to one scheduler\n\
         \x20            policy (rr, prio or cfs; default runs all three)\n\
          --list      print the exhibit table (id + description) and exit\n\
-         lint        run the abs-lint static-analysis pass over the\n\
-        \x20            workspace; exits 1 on any finding (--json also\n\
-        \x20            writes repro_out/lint_report.json)\n\
          analyze     run the abs-insight passes (cycle attribution, barrier\n\
         \x20            episodes, per-tenant SLO timelines) over a --trace\n\
         \x20            file; --json also writes repro_out/analysis_<stem>.json\n\n\
@@ -499,26 +475,6 @@ mod tests {
         for flag in ["--trace", "--metrics", "--list", "--kernel", "--load", "--tenants", "--sched"] {
             assert!(h.contains(flag), "help must mention {flag}");
         }
-    }
-
-    #[test]
-    fn lint_subcommand_parses() {
-        assert_eq!(parse(&["lint"]), Parsed::Lint { json: false });
-        assert_eq!(parse(&["lint", "--json"]), Parsed::Lint { json: true });
-        // The differential gate is gone: `--diff` is an unknown argument.
-        assert!(matches!(parse(&["lint", "--diff"]), Parsed::Error(_)));
-        match parse(&["lint", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("repro lint"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
-        // Only the leading position makes it a subcommand: as a trailing
-        // word it is an unknown experiment.
-        assert!(matches!(parse(&["fig7", "lint"]), Parsed::Error(_)));
-    }
-
-    #[test]
-    fn help_mentions_lint() {
-        assert!(help().contains("repro lint"), "{}", help());
     }
 
     #[test]

@@ -300,7 +300,7 @@ mod tests {
         let mut event = tiny(1, Kernel::Event);
         event.max_n = 1;
         event.reps = 1;
-        let mut cycle = event.clone();
+        let mut cycle = event;
         cycle.kernel = Kernel::Cycle;
         for (e, c) in flat_rows(&event).iter().zip(flat_rows(&cycle)) {
             assert_eq!(*e, c);

@@ -8,6 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+#[expect(clippy::expect_used, reason = "a test helper fails the calling test by panicking")]
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
@@ -15,6 +16,7 @@ fn repro(args: &[&str]) -> Output {
         .expect("repro binary runs")
 }
 
+#[expect(clippy::expect_used, reason = "a test helper fails the calling test by panicking")]
 fn tmpdir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
     std::fs::create_dir_all(&dir).expect("tmpdir");
@@ -30,6 +32,7 @@ fn stderr(output: &Output) -> String {
 }
 
 /// Runs a traced quick exhibit into `dir` and returns the trace path.
+#[expect(clippy::unwrap_used, reason = "a test helper fails the calling test by panicking")]
 fn traced_run(dir: &Path, jobs: &str, targets: &[&str]) -> PathBuf {
     let trace = dir.join(format!("trace_j{jobs}.json"));
     let mut args = vec![

@@ -278,7 +278,7 @@ fn property_packet_kernels_bit_identical() {
             warmup_cycles: 100,
             measure_cycles: 1_500,
             memory_service_cycles: 2,
-            max_outstanding: outstanding as u32,
+            max_outstanding: u32::try_from(outstanding).unwrap(),
         };
         let sim = PacketSim::new(cfg, policies[policy_ix]);
         assert_eq!(sim.run_with(seed, Kernel::Cycle), sim.run_with(seed, Kernel::Event));
@@ -579,7 +579,7 @@ fn property_circuit_kernels_bit_identical() {
         hold in check::u64_in(1..=10),
     ) {
         let cfg = CircuitConfig {
-            log2_size: log2_size as u32,
+            log2_size: u32::try_from(log2_size).unwrap(),
             hold_cycles: hold,
             request_rate: rate,
             hot_fraction: hot,

@@ -6,6 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+#[expect(clippy::expect_used, reason = "a test helper fails the calling test by panicking")]
 fn repro(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--quick", "--csv"])

@@ -36,6 +36,7 @@ fn sim_trace_bytes_with(targets: &[&str], jobs: usize, config: ReproConfig) -> S
 
     let mut units: Vec<(String, Vec<Event>)> = Vec::new();
     for outcome in &report.outcomes {
+        #[expect(clippy::unwrap_used, reason = "the run succeeded, as asserted above")]
         let rendered = outcome.result.as_ref().unwrap();
         for (unit, events) in &rendered.trace {
             units.push((format!("{}: {unit}", outcome.name), events.clone()));

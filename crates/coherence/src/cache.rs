@@ -65,6 +65,7 @@ impl CacheGeometry {
     }
 
     /// The direct-mapped line index of a block address.
+    #[expect(clippy::cast_possible_truncation, reason = "masked to a line index below lines(), a usize")]
     pub fn line_of(&self, block: u64) -> usize {
         (block & (self.lines() as u64 - 1)) as usize
     }
@@ -116,6 +117,7 @@ impl SlotTable {
     /// slot value of a clean copy of the block (`| 1` marks it dirty).
     pub(crate) fn locate(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.block_shift;
+        #[expect(clippy::cast_possible_truncation, reason = "masked to a line index below lines(), a usize")]
         let line = (block & self.line_mask) as usize;
         (line * self.procs, ((block >> self.line_bits) + 1) << 1)
     }

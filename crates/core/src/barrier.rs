@@ -541,6 +541,7 @@ impl BarrierSim {
             if any_requesting {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "done < n guarantees a scheduled event exists")]
                 let next = procs
                     .phase
                     .iter()
@@ -551,7 +552,7 @@ impl BarrierSim {
                         _ => None,
                     })
                     .min()
-                    .expect("undone processors must have a next event"); // abs-lint: allow(panic-path) -- done < n guarantees a scheduled event exists
+                    .expect("undone processors must have a next event");
                 now = next.max(now + 1);
             }
         }
@@ -675,9 +676,10 @@ impl BarrierSim {
             // draw for every cycle up to it and jump there.
             let draw_only = unobserved_misses && barrier_count < n;
             if draw_only && var_pending.is_empty() {
+                #[expect(clippy::expect_used, reason = "barrier_count < n with no variable request leaves an arrival or wait in the wheel")]
                 let next = wheel
                     .peek_min()
-                    .expect("processors yet to win the variable have a next event"); // abs-lint: allow(panic-path) -- barrier_count < n with no variable request leaves an arrival or wait in the wheel
+                    .expect("processors yet to win the variable have a next event");
                 for _ in now..next {
                     flag_pending.draw_unobserved(&mut rng);
                 }
@@ -828,9 +830,10 @@ impl BarrierSim {
             if !var_pending.is_empty() || !flag_pending.is_empty() {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "done < n guarantees a scheduled event exists")]
                 let next = wheel
                     .peek_min()
-                    .expect("undone processors must have a next event"); // abs-lint: allow(panic-path) -- done < n guarantees a scheduled event exists
+                    .expect("undone processors must have a next event");
                 now = next.max(now + 1);
             }
         }
@@ -856,7 +859,8 @@ fn collect_run(procs: &ProcState, span: u64, flag_set_at: Option<u64>) -> Barrie
         flag_before: procs.flag_before.iter().sum(),
         flag_after: procs.flag_after.iter().sum(),
         queued: procs.was_queued.iter().filter(|&&q| q).count(),
-        flag_set_at: flag_set_at.expect("flag must be set before completion"), // abs-lint: allow(panic-path) -- the loop exits only after completion, which requires the flag set
+        #[expect(clippy::expect_used, reason = "the loop exits only after completion, which requires the flag set")]
+        flag_set_at: flag_set_at.expect("flag must be set before completion"),
         completion,
         accesses,
         waiting,
@@ -1000,6 +1004,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "Chrome-trace timestamps are whole, non-negative cycle counts")]
     fn tracing_does_not_perturb_results() {
         use abs_obs::trace::{Phase as EvPhase, Ring};
         let sim = BarrierSim::new(BarrierConfig::new(16, 200), BackoffPolicy::exponential(2));

@@ -395,7 +395,8 @@ impl CombiningTreeSim {
                     }
                     Phase::Release { since } => {
                         accesses[id] += 1;
-                        let node = *owned[id].last().expect("release implies owned node"); // abs-lint: allow(panic-path) -- Release is only entered after climbing owns a node
+                        #[expect(clippy::expect_used, reason = "Release is only entered after climbing owns a node")]
+                        let node = *owned[id].last().expect("release implies owned node");
                         flag_reqs[node].push(Request::new(id, since));
                     }
                     _ => {}
@@ -502,6 +503,7 @@ impl CombiningTreeSim {
             if any_requesting {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "pending < n guarantees a scheduled event exists")]
                 let next = phases
                     .iter()
                     .enumerate()
@@ -512,7 +514,7 @@ impl CombiningTreeSim {
                         _ => None,
                     })
                     .min()
-                    .expect("pending processors must have a next event"); // abs-lint: allow(panic-path) -- pending < n guarantees a scheduled event exists
+                    .expect("pending processors must have a next event");
                 now = next.max(now + 1);
             }
         }
@@ -712,9 +714,10 @@ impl CombiningTreeSim {
                                 done += 1;
                             } else {
                                 phases[winner] = Phase::Release { since: now + 1 };
+                                #[expect(clippy::expect_used, reason = "the is_empty branch above rules this out")]
                                 let target = *owned[winner]
                                     .last()
-                                    .expect("non-empty just checked"); // abs-lint: allow(panic-path) -- the is_empty branch above rules this out
+                                    .expect("non-empty just checked");
                                 flag.insert(&nodes, target, winner, now + 1);
                                 charge_from[winner] = now + 1;
                                 active.insert(target);
@@ -734,9 +737,10 @@ impl CombiningTreeSim {
                                     done += 1;
                                 } else {
                                     phases[winner] = Phase::Release { since: now + 1 };
+                                    #[expect(clippy::expect_used, reason = "the is_empty branch above rules this out")]
                                     let target = *owned[winner]
                                         .last()
-                                        .expect("non-empty just checked"); // abs-lint: allow(panic-path) -- the is_empty branch above rules this out
+                                        .expect("non-empty just checked");
                                     flag.insert(&nodes, target, winner, now + 1);
                                     charge_from[winner] = now + 1;
                                     active.insert(target);
@@ -792,9 +796,10 @@ impl CombiningTreeSim {
             if !active.is_empty() {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "done < n guarantees a scheduled event exists")]
                 let next = wheel
                     .peek_min()
-                    .expect("pending processors must have a next event"); // abs-lint: allow(panic-path) -- done < n guarantees a scheduled event exists
+                    .expect("pending processors must have a next event");
                 now = next.max(now + 1);
             }
         }

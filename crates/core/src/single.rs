@@ -229,6 +229,7 @@ impl SingleCounterSim {
             if any_requesting {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "pending < n guarantees a scheduled event exists")]
                 let next = phases
                     .iter()
                     .enumerate()
@@ -238,7 +239,7 @@ impl SingleCounterSim {
                         _ => None,
                     })
                     .min()
-                    .expect("pending processors must have a next event"); // abs-lint: allow(panic-path) -- pending < n guarantees a scheduled event exists
+                    .expect("pending processors must have a next event");
                 now = next.max(now + 1);
             }
         }
@@ -377,9 +378,10 @@ impl SingleCounterSim {
             if !pending.is_empty() {
                 now += 1;
             } else if done < n {
+                #[expect(clippy::expect_used, reason = "done < n guarantees a scheduled event exists")]
                 let next = wheel
                     .peek_min()
-                    .expect("pending processors must have a next event"); // abs-lint: allow(panic-path) -- done < n guarantees a scheduled event exists
+                    .expect("pending processors must have a next event");
                 now = next.max(now + 1);
             }
         }

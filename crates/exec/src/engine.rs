@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
+#[expect(clippy::disallowed_types, reason = "the engine times itself; no job result reads the clock")]
 use std::time::{Duration, Instant};
 
 use crate::job::{JobFailure, JobOutcome, JobSet, JobStats};
@@ -110,6 +111,7 @@ impl Engine {
         let jobs = set.into_jobs();
         let n = jobs.len();
         let workers = self.config.workers.min(n).max(1);
+        #[expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the engine times itself; no job result reads the clock")]
         let start = Instant::now();
 
         let injector = Injector::new(n, workers);
@@ -128,6 +130,7 @@ impl Engine {
                         while let Some(chunk) = injector.next_chunk(worker) {
                             for idx in chunk {
                                 let queue_wait = start.elapsed();
+                                #[expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the engine times itself; no job result reads the clock")]
                                 let exec_start = Instant::now();
                                 let result = catch_unwind(AssertUnwindSafe(|| jobs[idx].execute()))
                                     .map_err(|payload| JobFailure {
@@ -153,7 +156,8 @@ impl Engine {
                 })
                 .collect();
             for handle in handles {
-                let (stats, done) = handle.join().expect("worker threads do not panic"); // abs-lint: allow(panic-path) -- workers catch job panics; a panic here is an engine bug
+                #[expect(clippy::expect_used, reason = "workers catch job panics; a panic here is an engine bug")]
+                let (stats, done) = handle.join().expect("worker threads do not panic");
                 worker_stats.push(stats);
                 // Lock-free commit: each id was dispatched to exactly one
                 // worker, so every slot is written exactly once.
@@ -168,7 +172,8 @@ impl Engine {
             .iter()
             .zip(slots)
             .map(|(job, slot)| {
-                let (result, stats) = slot.expect("every job slot is filled"); // abs-lint: allow(panic-path) -- the injector hands out each index exactly once, so every slot was filled
+                #[expect(clippy::expect_used, reason = "the injector hands out each index exactly once, so every slot was filled")]
+                let (result, stats) = slot.expect("every job slot is filled");
                 JobOutcome {
                     id: job.id(),
                     name: job.name().to_string(),
@@ -217,8 +222,9 @@ impl Injector {
         let per = chunks.len().div_ceil(workers).max(1);
         let mut deques: Vec<Mutex<VecDeque<Range<usize>>>> =
             (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+        #[expect(clippy::expect_used, reason = "no thread has touched the mutex yet")]
         for (w, run) in chunks.chunks(per).enumerate() {
-            *deques[w].get_mut().expect("freshly built mutex") = // abs-lint: allow(panic-path) -- no thread has touched the mutex yet
+            *deques[w].get_mut().expect("freshly built mutex") =
                 run.iter().cloned().collect();
         }
         Injector { deques }
@@ -228,9 +234,10 @@ impl Injector {
     /// drained (own deque empty and nothing stealable anywhere).
     fn next_chunk(&self, worker: usize) -> Option<Range<usize>> {
         let deques = &self.deques;
+        #[expect(clippy::unwrap_used, reason = "poisoning implies a worker panicked, which join() already surfaces")]
         if let Some(chunk) = deques[worker]
             .lock()
-            .unwrap() // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+            .unwrap()
             .pop_front()
         {
             return Some(chunk);
@@ -242,7 +249,8 @@ impl Injector {
         for offset in 1..workers {
             let victim = (worker + offset) % workers;
             let mut stolen = {
-                let mut q = deques[victim].lock().unwrap(); // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+                #[expect(clippy::unwrap_used, reason = "poisoning implies a worker panicked, which join() already surfaces")]
+                let mut q = deques[victim].lock().unwrap();
                 if q.is_empty() {
                     continue;
                 }
@@ -250,8 +258,9 @@ impl Injector {
                 q.split_off(keep)
             };
             let first = stolen.pop_front();
+            #[expect(clippy::unwrap_used, reason = "poisoning implies a worker panicked, which join() already surfaces")]
             if !stolen.is_empty() {
-                *deques[worker].lock().unwrap() = stolen; // abs-lint: allow(panic-path) -- poisoning implies a worker panicked, which join() already surfaces
+                *deques[worker].lock().unwrap() = stolen;
             }
             return first;
         }
@@ -434,7 +443,7 @@ mod tests {
         let build = || {
             let mut set = JobSet::new(0xD15);
             for i in 0..97u64 {
-                set.push(format!("j{i}"), move |seed| seed.rotate_left(i as u32));
+                set.push(format!("j{i}"), move |seed| seed.rotate_left(u32::try_from(i).unwrap()));
             }
             set
         };

@@ -104,6 +104,7 @@ impl Value {
             Value::Num(x) => {
                 if x.is_finite() {
                     if *x == x.trunc() && x.abs() < 1e15 {
+                        #[expect(clippy::cast_possible_truncation, reason = "the branch holds whole numbers below 1e15, which i64 holds exactly")]
                         let _ = write!(out, "{}", *x as i64);
                     } else {
                         let _ = write!(out, "{x}");
@@ -390,7 +391,8 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap(); // abs-lint: allow(panic-path) -- the scanned range holds only ASCII number bytes, valid UTF-8
+        #[expect(clippy::unwrap_used, reason = "the scanned range holds only ASCII number bytes, valid UTF-8")]
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+#[expect(clippy::disallowed_types, reason = "the manifest records the run's creation time, which no result reads")]
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::engine::RunReport;
@@ -91,6 +92,8 @@ impl RunManifest {
             seed,
             config: Vec::new(),
             git: None,
+            #[expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the manifest records the run's creation time, which no result reads")]
+            #[expect(clippy::cast_possible_truncation, reason = "milliseconds since 1970 fit u64 for the next 500 million years")]
             created_unix_ms: SystemTime::now()
                 .duration_since(UNIX_EPOCH)
                 .map(|d| d.as_millis() as u64)
@@ -252,10 +255,12 @@ impl RunManifest {
             _ => return Err("missing config object".to_string()),
         };
         let git = v.get("git").and_then(|g| g.as_str()).map(str::to_string);
+        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
         let created_unix_ms = v
             .get("created_unix_ms")
             .and_then(Value::as_f64)
             .unwrap_or(0.0) as u64;
+        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
         let workers = v.get("workers").and_then(Value::as_f64).unwrap_or(0.0) as usize;
         let elapsed_ms = v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0);
         let jobs = v
@@ -327,6 +332,7 @@ fn parse_job(v: &Value) -> Result<JobRecord, String> {
         other => return Err(format!("unknown job status {other:?}")),
     };
     Ok(JobRecord {
+        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
         id: v.get("id").and_then(Value::as_f64).unwrap_or(0.0) as usize,
         name: str_field(v, "name")?,
         seed: seed_field(v, "seed")?,

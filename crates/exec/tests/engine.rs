@@ -134,7 +134,7 @@ fn property_repetitions_parallel_path_matches_run() {
         runs in check::usize_in(1..30),
         workers in check::usize_in(1..5),
     ) {
-        let reps = Repetitions::new(runs as u32, master);
+        let reps = Repetitions::new(u32::try_from(runs).unwrap(), master);
         let experiment = |seed: u64| vec![("value", simulate(seed) as f64 / 1e6)];
         let sequential = reps.run(experiment);
         let engine = Engine::new(ExecConfig::new(workers));

@@ -288,6 +288,7 @@ impl Attribution {
     }
 
     /// The dominant bucket's glyph for one heatmap cell.
+    #[expect(clippy::cast_possible_truncation, reason = "each bound lies inside the u64 window")]
     fn cell_glyph(&self, lane: &LaneAttribution, col: usize, width: usize) -> char {
         let (w0, w1) = self.window;
         let len = (w1 - w0) as u128;
@@ -451,6 +452,7 @@ pub fn attribute(events: &[Event], opts: &Options) -> Result<Attribution, String
 }
 
 /// The tight `[min ts, max ts + 1)` window over all events.
+#[expect(clippy::cast_possible_truncation, reason = "Chrome-trace timestamps are whole, non-negative cycle counts")]
 fn derive_window(events: &[Event]) -> Option<(u64, u64)> {
     let mut lo = u64::MAX;
     let mut hi = 0u64;
@@ -471,10 +473,10 @@ pub(crate) fn pair_lanes(events: &[Event]) -> Result<BTreeMap<u32, Lane>, String
     let mut lanes: BTreeMap<u32, Lane> = BTreeMap::new();
     let mut stacks: BTreeMap<u32, Vec<Span>> = BTreeMap::new();
     for event in events {
+        #[expect(clippy::cast_possible_truncation, reason = "Chrome-trace timestamps are whole, non-negative cycle counts")]
         let ts = event.ts as u64;
         match event.phase {
             Phase::Counter => {}
-            // abs-lint: allow(determinism) -- Phase::Instant is the trace marker phase, not std::time
             Phase::Instant => lanes.entry(event.tid).or_default().markers.push(Marker {
                 name: event.name.to_string(),
                 ts,

@@ -43,6 +43,7 @@ pub const ARG_KEYS: [&str; 16] = [
 
 /// Clamps a Chrome-trace id (a JSON number) into the `u32` lane space:
 /// negative values floor at 0, oversized ones saturate at `u32::MAX`.
+#[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
 fn id_u32(v: f64) -> u32 {
     u32::try_from(v as u64).unwrap_or(u32::MAX)
 }
@@ -95,7 +96,6 @@ pub fn import_chrome(doc: &Value) -> Result<Vec<(String, Vec<Event>)>, String> {
         let phase = match ph {
             "B" => Phase::Begin,
             "E" => Phase::End,
-            // abs-lint: allow(determinism) -- Phase::Instant is the trace marker phase, not std::time
             "i" => Phase::Instant,
             "C" => Phase::Counter,
             other => return Err(format!("row {i}: unknown phase {other:?}")),

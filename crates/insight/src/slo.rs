@@ -175,6 +175,7 @@ impl SloTimeline {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "the ramp index is at most RAMP.len() - 1")]
 fn ramp_glyph(value: f64, max: f64) -> char {
     if max <= 0.0 || value <= 0.0 {
         return RAMP[0] as char;
@@ -225,6 +226,7 @@ fn tenant_json(t: &TenantSeries) -> Value {
 /// # Errors
 ///
 /// Returns a message when the unit holds no open-loop events.
+#[expect(clippy::cast_possible_truncation, reason = "Chrome-trace timestamps, tids and tenant ids are whole and non-negative")]
 pub fn slo_timeline(events: &[Event], windows: usize) -> Result<SloTimeline, String> {
     let windows = windows.max(1);
     let mut lo = u64::MAX;
@@ -273,7 +275,6 @@ pub fn slo_timeline(events: &[Event], windows: usize) -> Result<SloTimeline, Str
                 .map(|&(_, v)| v)
         };
         match event.phase {
-            // abs-lint: allow(determinism) -- Phase::Instant is the trace marker phase, not std::time
             Phase::Instant if event.name == "admit" => {
                 saw_open_loop = true;
                 let tenant = arg("tenant").unwrap_or(0.0) as usize;
@@ -285,7 +286,6 @@ pub fn slo_timeline(events: &[Event], windows: usize) -> Result<SloTimeline, Str
                 tenants[tenant].windows[w].admitted += 1;
                 tenants[tenant].windows[w].waits.push(wait);
             }
-            // abs-lint: allow(determinism) -- Phase::Instant is the trace marker phase, not std::time
             Phase::Instant if event.name == "truncated" => lane_truncated[lane] = true,
             Phase::Begin if OP_LABELS.contains(&event.name.as_ref()) => {
                 saw_open_loop = true;

@@ -30,6 +30,7 @@ fn unit(rng: &mut SplitMix64) -> f64 {
 
 /// Draws an exponential gap with the given mean, rounded up to at least
 /// one whole cycle.
+#[expect(clippy::cast_possible_truncation, reason = "a gap past u64::MAX cycles saturates, far beyond any horizon")]
 fn exp_gap(rng: &mut SplitMix64, mean: f64) -> u64 {
     let u = unit(rng);
     // Inverse CDF; 1-u is in (0, 1] so the log is finite.
@@ -147,6 +148,7 @@ impl Diurnal {
             return 1.0;
         }
         let seg_len = (self.day_len / self.profile.len() as u64).max(1);
+        #[expect(clippy::cast_possible_truncation, reason = "the segment index is below profile.len(), a usize")]
         let seg = ((now % self.day_len.max(1)) / seg_len) as usize;
         self.profile[seg.min(self.profile.len() - 1)]
     }
@@ -199,6 +201,7 @@ impl Arrival {
     pub fn scaled(&self, k: f64) -> Self {
         let k = k.max(1e-9);
         match self {
+            #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
             Arrival::Fixed(f) => Arrival::fixed(((f.period as f64 / k).round() as u64).max(1)),
             Arrival::Poisson(p) => Arrival::poisson((p.mean_gap / k).max(1.0)),
             Arrival::Bursty(b) => {

@@ -440,6 +440,7 @@ impl OpenLoopSim {
                     let Some((tenant, ji)) = policy.pick(now) else {
                         break;
                     };
+                    #[expect(clippy::cast_possible_truncation, reason = "job indices are positions in the jobs vector")]
                     let ji = ji as usize;
                     let job = jobs[ji];
                     debug_assert_eq!(job.tenant, tenant);

@@ -157,6 +157,7 @@ pub fn generate_stream(tenants: &[Tenant], vars: usize, horizon: u64, seed: u64)
                 break;
             }
             let op = tenant.op_mix.draw(&mut rng);
+            #[expect(clippy::cast_possible_truncation, reason = "a residue modulo vars, a usize, fits usize")]
             let var = (rng.next_u64() % vars as u64) as usize;
             jobs.push(Job {
                 arrive: now,

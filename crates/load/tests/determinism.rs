@@ -100,11 +100,12 @@ fn empirical_mean_interarrival_matches_configuration() {
         seed in check::any_u64(),
         mean in check::u64_in(5..=60),
     ) {
+        let period = mean;
         let mean = mean as f64;
         for (name, mut arrival, expect, tol) in [
             // Fixed rate is exact; the random processes carry the
             // ceil-to-cycle bias (up to +0.5) plus sampling noise.
-            ("fixed", Arrival::fixed(mean as u64), mean.floor(), 0.0),
+            ("fixed", Arrival::fixed(period), mean.floor(), 0.0),
             ("poisson", Arrival::poisson(mean), mean, 0.15 * mean + 1.0),
             // Diurnal with a flat profile is Poisson at that rate.
             ("diurnal-flat", Arrival::diurnal(10_000, vec![mean, mean]), mean, 0.15 * mean + 1.0),

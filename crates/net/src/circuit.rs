@@ -228,7 +228,7 @@ impl CircuitSim {
     /// One establishment attempt by processor `p` at `now`. Returns the
     /// cycle of `p`'s next event: the hold expiry on success, the retry
     /// time after a collision.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the kernels' per-run state is passed as separate borrows")]
     fn attempt(
         &self,
         p: usize,
@@ -297,7 +297,7 @@ impl CircuitSim {
     /// while the population is saturated — so the draw order is identical
     /// by construction. `due` is scratch; it holds this cycle's due
     /// attempts (post-shuffle) on return.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the kernels' per-run state is passed as separate borrows")]
     fn scan_cycle(
         &self,
         now: u64,
@@ -337,6 +337,7 @@ impl CircuitSim {
         //    order (the shuffle draws only over the due attempts, so an
         //    attempt-free cycle costs no draw).
         due.clear();
+        #[expect(clippy::needless_range_loop, reason = "p is the processor id pushed to `due`; the bound is the topology's size, as in step 1")]
         for p in 0..n {
             if let ProcState::Attempting { retry_at, .. } = states[p] {
                 if retry_at <= now {
@@ -362,8 +363,9 @@ impl CircuitSim {
     fn run_cycle_kernel(&self, seed: u64) -> CircuitOutcome {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
+        #[expect(clippy::expect_used, reason = "CircuitConfig construction validates hot_fraction")]
         let traffic = HotspotTraffic::new(n, self.config.hot_fraction, 0)
-            .expect("validated hot fraction"); // abs-lint: allow(panic-path) -- CircuitConfig construction validates hot_fraction
+            .expect("validated hot fraction");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
 
         let mut states = vec![ProcState::Idle; n];
@@ -421,8 +423,9 @@ impl CircuitSim {
     fn run_event_kernel(&self, seed: u64) -> CircuitOutcome {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
+        #[expect(clippy::expect_used, reason = "CircuitConfig construction validates hot_fraction")]
         let traffic = HotspotTraffic::new(n, self.config.hot_fraction, 0)
-            .expect("validated hot fraction"); // abs-lint: allow(panic-path) -- CircuitConfig construction validates hot_fraction
+            .expect("validated hot fraction");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
 
         let mut states = vec![ProcState::Idle; n];
@@ -518,6 +521,7 @@ impl CircuitSim {
                     ProcState::Holding { .. } => {
                         Self::release(p, now, measuring, &mut states, &mut measure);
                         // A holding processor cannot already be idle.
+                        #[expect(clippy::unwrap_used, reason = "a holding processor is never in the idle list, so the search misses")]
                         let at = idle.binary_search(&p).unwrap_err();
                         idle.insert(at, p);
                     }
@@ -541,6 +545,7 @@ impl CircuitSim {
                         dst: traffic.destination(&mut rng),
                     };
                     // An idle processor has no due retry.
+                    #[expect(clippy::unwrap_used, reason = "an idle processor has no due retry, so the search misses")]
                     let at = due.binary_search(&p).unwrap_err();
                     due.insert(at, p);
                 } else {

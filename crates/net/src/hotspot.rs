@@ -88,8 +88,9 @@ impl HotspotTraffic {
     /// # Panics
     ///
     /// Panics if `modules == 0`.
+    #[expect(clippy::expect_used, reason = "new() fails only for modules == 0, documented as a panic above")]
     pub fn uniform(modules: usize) -> Self {
-        Self::new(modules, 0.0, 0).expect("uniform traffic requires modules > 0") // abs-lint: allow(panic-path) -- new() fails only for modules == 0, documented as a panic above
+        Self::new(modules, 0.0, 0).expect("uniform traffic requires modules > 0")
     }
 
     /// Number of memory modules.

@@ -120,6 +120,7 @@ impl MemoryModule {
         self.served = self.served.saturating_add(1);
         let winner = match self.policy {
             Arbitration::Random => requests[rng.next_below_usize(requests.len())].id,
+            #[expect(clippy::expect_used, reason = "arbitrate() is only called with a non-empty request list")]
             Arbitration::RoundRobin => {
                 // Rotating priority: smallest id at-or-above `base`, with
                 // wraparound (ids below `base` sort after all ids >= base).
@@ -127,14 +128,15 @@ impl MemoryModule {
                 requests
                     .iter()
                     .min_by_key(|r| r.id.wrapping_sub(base))
-                    .expect("non-empty") // abs-lint: allow(panic-path) -- arbitrate() is only called with a non-empty request list
+                    .expect("non-empty")
                     .id
             }
+            #[expect(clippy::expect_used, reason = "arbitrate() is only called with a non-empty request list")]
             Arbitration::OldestFirst => {
                 requests
                     .iter()
                     .min_by_key(|r| (r.since, r.id))
-                    .expect("non-empty") // abs-lint: allow(panic-path) -- arbitrate() is only called with a non-empty request list
+                    .expect("non-empty")
                     .id
             }
         };
@@ -274,6 +276,7 @@ const BYTE_HIGHS: u64 = 0x8080_8080_8080_8080;
 
 /// `SELECT_IN_BYTE[r << 8 | b]`: the position of the `r`-th smallest set
 /// bit of byte `b` (8 when `b` has `r` or fewer set bits). 2 KB.
+#[expect(clippy::cast_possible_truncation, reason = "bit positions are below 8")]
 const SELECT_IN_BYTE: [u8; 8 * 256] = {
     let mut table = [8u8; 8 * 256];
     let mut b = 0;
@@ -296,6 +299,7 @@ const SELECT_IN_BYTE: [u8; 8 * 256] = {
 /// x86-64 target has no `popcnt`, so a bit-by-bit loop here costs a
 /// mispredicted branch per bit; instead SWAR byte counts locate the byte
 /// and a table lookup the bit within it.
+#[expect(clippy::cast_possible_truncation, reason = "the rank within a byte is below 8")]
 fn select_in_word(word: u64, r: u64) -> u64 {
     debug_assert!(r < u64::from(word.count_ones()));
     // Per-byte popcounts, then their inclusive prefix sums: byte i of
@@ -421,6 +425,7 @@ impl Fenwick {
 
     /// The k-th smallest pending id, 0-indexed (`k < len`): a Fenwick
     /// descent to the word holding it, then [`select_in_word`].
+    #[expect(clippy::cast_possible_truncation, reason = "a bit position within a word is below 64")]
     fn select(&self, k: usize) -> usize {
         debug_assert!(k < self.len);
         let mut remaining = u32::try_from(k).unwrap_or(u32::MAX);
@@ -532,6 +537,7 @@ impl PendingSet {
     pub fn insert(&mut self, req: Request) {
         match &mut self.index {
             Index::Sorted(requests) => {
+                #[expect(clippy::expect_used, reason = "inserting an id that is already pending is a caller bug, reported by this panic")]
                 let at = requests
                     .binary_search_by(|r| r.id.cmp(&req.id))
                     .expect_err("processor already pending");
@@ -555,9 +561,10 @@ impl PendingSet {
     pub fn remove(&mut self, id: usize) -> Request {
         let req = match &mut self.index {
             Index::Sorted(requests) => {
+                #[expect(clippy::expect_used, reason = "callers pass ids taken from the request list")]
                 let at = requests
                     .binary_search_by(|r| r.id.cmp(&id))
-                    .expect("processor must be pending"); // abs-lint: allow(panic-path) -- callers pass ids taken from the request list
+                    .expect("processor must be pending");
                 requests.remove(at)
             }
             Index::Fenwick(fw) => {
@@ -576,9 +583,10 @@ impl PendingSet {
     pub fn refresh(&mut self, id: usize, since: u64) {
         let old = match &mut self.index {
             Index::Sorted(requests) => {
+                #[expect(clippy::expect_used, reason = "callers pass ids taken from the request list")]
                 let at = requests
                     .binary_search_by(|r| r.id.cmp(&id))
-                    .expect("processor must be pending"); // abs-lint: allow(panic-path) -- callers pass ids taken from the request list
+                    .expect("processor must be pending");
                 std::mem::replace(&mut requests[at].since, since)
             }
             Index::Fenwick(fw) => {
@@ -604,7 +612,8 @@ impl PendingSet {
         let winner = match self.policy {
             Arbitration::Random => self.select(rng.next_below_usize(len)),
             Arbitration::RoundRobin => self.first_from(self.last_winner.map_or(0, |w| w + 1)),
-            Arbitration::OldestFirst => self.by_age.first().expect("index tracks requests").1, // abs-lint: allow(panic-path) -- by_age is maintained in lockstep with the non-empty pending set
+            #[expect(clippy::expect_used, reason = "by_age is maintained in lockstep with the non-empty pending set")]
+            Arbitration::OldestFirst => self.by_age.first().expect("index tracks requests").1,
         };
         self.last_winner = Some(winner);
         Some(winner)
@@ -986,7 +995,7 @@ mod tests {
     fn naive_select(word: u64, r: u64) -> u64 {
         (0..64)
             .filter(|&bit| (word >> bit) & 1 == 1)
-            .nth(r as usize)
+            .nth(usize::try_from(r).unwrap())
             .expect("r < popcount")
     }
 
@@ -1051,7 +1060,7 @@ mod tests {
         for id in (0..n).step_by(3) {
             set.insert(Request::new(id, id as u64));
         }
-        let expected = (n + 2) / 3;
+        let expected = n.div_ceil(3);
         assert_eq!(set.len(), expected);
         // k-th smallest pending id is 3k.
         assert_eq!(set.select(0), 0);

@@ -247,8 +247,9 @@ impl PacketSim {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
         let stages = topo.stages();
+        #[expect(clippy::expect_used, reason = "PacketConfig construction validates hot_fraction")]
         let traffic = HotspotTraffic::new(n, self.config.hot_fraction, 0)
-            .expect("validated hot fraction"); // abs-lint: allow(panic-path) -- PacketConfig construction validates hot_fraction
+            .expect("validated hot fraction");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
 
         // queues[s][p]: FIFO at the output port p of stage s.
@@ -324,9 +325,10 @@ impl PacketSim {
                 }
                 for want in 0..n {
                     if let Some(src_port) = claim[want] {
+                        #[expect(clippy::expect_used, reason = "the claim pass only records ports with occupied queues")]
                         let pkt = queues[s - 1][src_port]
                             .pop_front()
-                            .expect("claimed head exists"); // abs-lint: allow(panic-path) -- the claim pass only records ports with occupied queues
+                            .expect("claimed head exists");
                         queues[s][want].push_back(pkt);
                     }
                 }
@@ -466,8 +468,9 @@ impl PacketSim {
         let topo = OmegaTopology::new(self.config.log2_size);
         let n = topo.size();
         let stages = topo.stages();
+        #[expect(clippy::expect_used, reason = "PacketConfig construction validates hot_fraction")]
         let traffic = HotspotTraffic::new(n, self.config.hot_fraction, 0)
-            .expect("validated hot fraction"); // abs-lint: allow(panic-path) -- PacketConfig construction validates hot_fraction
+            .expect("validated hot fraction");
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
 
         let mut queues: Vec<Vec<VecDeque<Packet>>> =
@@ -516,6 +519,7 @@ impl PacketSim {
                     (Some(g), Some(r)) => Some(g.min(r)),
                     (g, r) => g.or(r),
                 };
+                #[expect(clippy::unnecessary_map_or, reason = "is_none_or compiles this kernel loop to different machine code; the measured form stays")]
                 if wake.map_or(true, |w| w > now) {
                     let target = wake.unwrap_or(total + 1).min(total + 1);
                     if sink.enabled() {
@@ -558,7 +562,8 @@ impl PacketSim {
                     continue;
                 }
                 let queue = &mut queues[stages - 1][m];
-                let pkt = queue.pop_front().expect("occupancy bit set"); // abs-lint: allow(panic-path) -- the occupancy bit is set only while the queue is non-empty
+                #[expect(clippy::expect_used, reason = "the occupancy bit is set only while the queue is non-empty")]
+                let pkt = queue.pop_front().expect("occupancy bit set");
                 if queue.is_empty() {
                     occ[stages - 1].remove(m);
                 }
@@ -586,7 +591,8 @@ impl PacketSim {
                     claimed.clear();
                     collect(&occ[s - 1], &mut active);
                     for &p in &active {
-                        let head = queues[s - 1][p].front().expect("occupancy bit set"); // abs-lint: allow(panic-path) -- the occupancy bit is set only while the queue is non-empty
+                        #[expect(clippy::expect_used, reason = "the occupancy bit is set only while the queue is non-empty")]
+                        let head = queues[s - 1][p].front().expect("occupancy bit set");
                         let want = topo.port(head.owner, head.dst, s);
                         if queues[s][want].len() >= self.config.queue_capacity {
                             continue;
@@ -603,9 +609,11 @@ impl PacketSim {
                         }
                     }
                     for &want in &claimed {
-                        let src_port = claim[want].take().expect("claimed port has a winner"); // abs-lint: allow(panic-path) -- claimed ports were filled in the claim pass just above
+                        #[expect(clippy::expect_used, reason = "claimed ports were filled in the claim pass just above")]
+                        let src_port = claim[want].take().expect("claimed port has a winner");
                         let queue = &mut queues[s - 1][src_port];
-                        let pkt = queue.pop_front().expect("claimed head exists"); // abs-lint: allow(panic-path) -- the winner was popped from an occupied queue
+                        #[expect(clippy::expect_used, reason = "the winner was popped from an occupied queue")]
+                        let pkt = queue.pop_front().expect("claimed head exists");
                         if queue.is_empty() {
                             occ[s - 1].remove(src_port);
                         }
@@ -640,12 +648,13 @@ impl PacketSim {
             claimed.clear();
             collect(&has_pending, &mut active);
             for &p in &active {
+                #[expect(clippy::expect_used, reason = "the pending bitmap mirrors the pending array")]
                 let PendingReq {
                     dst,
                     retry_at,
                     issued,
                     retries,
-                } = pending[p].expect("pending bit set"); // abs-lint: allow(panic-path) -- the pending bitmap mirrors the pending array
+                } = pending[p].expect("pending bit set");
                 if retry_at > now {
                     continue;
                 }
@@ -696,9 +705,11 @@ impl PacketSim {
                 }
             }
             for &port in &claimed {
-                let p = claim[port].take().expect("claimed port has a winner"); // abs-lint: allow(panic-path) -- claimed ports were filled in the claim pass just above
+                #[expect(clippy::expect_used, reason = "claimed ports were filled in the claim pass just above")]
+                let p = claim[port].take().expect("claimed port has a winner");
+                #[expect(clippy::expect_used, reason = "claim winners come from the pending set")]
                 let PendingReq { dst, issued, .. } =
-                    pending[p].expect("claimed processor has a request"); // abs-lint: allow(panic-path) -- claim winners come from the pending set
+                    pending[p].expect("claimed processor has a request");
                 queues[0][port].push_back(Packet { owner: p, dst, issued });
                 occ[0].insert(port);
                 stage_count[0] += 1;
@@ -757,7 +768,7 @@ impl PacketSim {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the kernels' per-run state is passed as separate borrows")]
     fn block<S: TraceSink>(
         &self,
         p: usize,

@@ -47,6 +47,7 @@ pub fn timeline(events: &[Event], width: usize) -> String {
     // order.
     let mut lanes: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
     for e in events {
+        #[expect(clippy::cast_possible_truncation, reason = "the column is in [0, width - 1]")]
         let col = (((e.ts - lo) / span) * (width - 1) as f64).round() as usize;
         lanes.entry((e.pid, e.tid)).or_insert_with(|| vec![0; width])[col.min(width - 1)] += 1;
     }
@@ -72,6 +73,7 @@ pub fn timeline(events: &[Event], width: usize) -> String {
         let label = format!("p{pid}/t{tid}");
         out.push_str(&format!("  {label:>label_width$} |"));
         for &c in cells {
+            #[expect(clippy::cast_possible_truncation, reason = "the ramp index is at most RAMP.len() - 1")]
             let idx = if c == 0 {
                 0
             } else {

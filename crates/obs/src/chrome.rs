@@ -258,6 +258,7 @@ pub fn validate(trace: &Value) -> Result<(), String> {
             .get("ts")
             .and_then(Value::as_f64)
             .ok_or_else(|| format!("row {i}: missing ts"))?;
+        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
         let lane = (pid as u64, tid as u64);
         if let Some(&prev) = last_ts.get(&lane) {
             if ts < prev {

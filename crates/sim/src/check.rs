@@ -93,8 +93,11 @@ impl Default for Config {
 /// of a failing value for shrinking.
 pub struct Gen<T> {
     sample: Box<dyn Fn(&mut Xoshiro256PlusPlus) -> T>,
-    shrink: Box<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrinker<T>,
 }
+
+/// A [`Gen`]'s shrinking closure.
+type Shrinker<T> = Box<dyn Fn(&T) -> Vec<T>>;
 
 impl<T: 'static> Gen<T> {
     /// Builds a generator from a sampling closure and a shrinking closure.
@@ -173,6 +176,7 @@ pub fn u32_in(range: RangeInclusive<u32>) -> Gen<u32> {
 }
 
 /// A `usize` uniform in the half-open range, shrinking toward the low end.
+#[expect(clippy::cast_possible_truncation, reason = "the shrunk values lie between two usize bounds")]
 pub fn usize_in(range: Range<usize>) -> Gen<usize> {
     let (lo, hi) = (range.start, range.end);
     assert!(lo < hi, "empty range");

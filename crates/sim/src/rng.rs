@@ -110,6 +110,7 @@ impl Xoshiro256PlusPlus {
     ///
     /// Panics if `bound == 0`.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "Lemire's method keeps the low and the high 64-bit word of a 128-bit product")]
     pub fn next_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "bound must be positive");
         // Lemire's method: multiply a 64-bit random by the bound and keep the
@@ -153,6 +154,7 @@ impl Xoshiro256PlusPlus {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[expect(clippy::cast_possible_truncation, reason = "Lemire's method keeps the low and the high 64-bit word of a 128-bit product")]
     pub fn fill_below(&mut self, bound: u64, out: &mut [u64]) {
         assert!(bound > 0, "bound must be positive");
         let threshold = bound.wrapping_neg() % bound;
@@ -171,6 +173,7 @@ impl Xoshiro256PlusPlus {
     ///
     /// Panics if `bound == 0`.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "a draw below a usize bound fits usize")]
     pub fn next_below_usize(&mut self, bound: usize) -> usize {
         self.next_below(bound as u64) as usize
     }

@@ -146,7 +146,8 @@ impl SeriesSet {
             .iter()
             .flat_map(|s| s.points().iter().map(|(x, _)| *x))
             .collect();
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN x values")); // abs-lint: allow(panic-path) -- x values come from finite sweep grids, never NaN
+        #[expect(clippy::expect_used, reason = "x values come from finite sweep grids, never NaN")]
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN x values"));
         xs.dedup();
         xs
     }

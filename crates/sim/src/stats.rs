@@ -223,6 +223,7 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 /// let v: Vec<f64> = (1..=100).map(f64::from).collect();
 /// assert_eq!(nearest_ranks(&v, [0.50, 0.95, 0.99]), [50.0, 95.0, 99.0]);
 /// ```
+#[expect(clippy::cast_possible_truncation, reason = "the rank ⌈q·n⌉ lies in [0, n] for q in [0, 1]")]
 pub fn nearest_ranks<const K: usize>(values: &[f64], qs: [f64; K]) -> [f64; K] {
     for q in qs {
         assert!((0.0..=1.0).contains(&q), "quantile must lie in [0, 1]");
@@ -231,7 +232,8 @@ pub fn nearest_ranks<const K: usize>(values: &[f64], qs: [f64; K]) -> [f64; K] {
     if v.is_empty() {
         return [0.0; K];
     }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare")); // abs-lint: allow(panic-path) -- values were filtered to finite just above
+    #[expect(clippy::expect_used, reason = "values were filtered to finite just above")]
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
     let n = v.len();
     // 1-based nearest rank ⌈q·n⌉, clamped to [1, n] (q = 0 → minimum).
     qs.map(|q| v[((q * n as f64).ceil() as usize).clamp(1, n) - 1])
@@ -334,6 +336,7 @@ impl Histogram {
     }
 
     /// Records one observation of `value`.
+    #[expect(clippy::cast_possible_truncation, reason = "a bin index that overflowed usize could not have been allocated")]
     pub fn record(&mut self, value: u64) {
         let bin = (value / self.bin_width) as usize;
         if bin >= self.bins.len() {
@@ -344,6 +347,7 @@ impl Histogram {
     }
 
     /// Records `n` observations of `value`.
+    #[expect(clippy::cast_possible_truncation, reason = "a bin index that overflowed usize could not have been allocated")]
     pub fn record_n(&mut self, value: u64, n: u64) {
         let bin = (value / self.bin_width) as usize;
         if bin >= self.bins.len() {
@@ -354,6 +358,7 @@ impl Histogram {
     }
 
     /// Number of observations that fell into the bin containing `value`.
+    #[expect(clippy::cast_possible_truncation, reason = "a bin index that overflowed usize could not have been allocated")]
     pub fn count(&self, value: u64) -> u64 {
         let bin = (value / self.bin_width) as usize;
         self.bins.get(bin).copied().unwrap_or(0)
@@ -390,6 +395,7 @@ impl Histogram {
     }
 
     /// Fraction of all observations in bins `<= value`'s bin.
+    #[expect(clippy::cast_possible_truncation, reason = "a bin index that overflowed usize could not have been allocated")]
     pub fn cumulative_fraction(&self, value: u64) -> f64 {
         if self.total == 0 {
             return 0.0;

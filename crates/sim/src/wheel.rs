@@ -178,6 +178,7 @@ impl TimeWheel {
         );
         self.len += 1;
         if time - self.now < Self::SLOTS as u64 {
+            #[expect(clippy::cast_possible_truncation, reason = "a residue modulo SLOTS fits usize")]
             let s = (time % Self::SLOTS as u64) as usize;
             self.next[id] = if self.occupied(s) { self.heads[s] } else { END };
             self.heads[s] = link;
@@ -210,6 +211,7 @@ impl TimeWheel {
         let horizon = now.saturating_add(Self::SLOTS as u64);
         while self.far_min < horizon {
             let Some((t, head)) = self.far.pop_first() else { break };
+            #[expect(clippy::cast_possible_truncation, reason = "a residue modulo SLOTS fits usize")]
             let s = (t % Self::SLOTS as u64) as usize;
             debug_assert!(!self.occupied(s), "far wake-ups at {t} migrate into a used slot");
             self.heads[s] = head;
@@ -217,6 +219,7 @@ impl TimeWheel {
             self.far_min = self.far.first_key_value().map_or(u64::MAX, |(&t, _)| t);
         }
         self.now = now;
+        #[expect(clippy::cast_possible_truncation, reason = "a residue modulo SLOTS fits usize")]
         let s = (now % Self::SLOTS as u64) as usize;
         if self.occupied(s) {
             self.occupancy[s / 64] &= !(1u64 << (s % 64));
@@ -273,6 +276,7 @@ impl TimeWheel {
     /// `now % SLOTS`, via the occupancy bitmap.
     fn first_occupied(&self) -> Option<usize> {
         const WORDS: usize = TimeWheel::SLOTS / 64;
+        #[expect(clippy::cast_possible_truncation, reason = "a residue modulo SLOTS fits usize")]
         let start = (self.now % Self::SLOTS as u64) as usize;
         let (start_word, start_bit) = (start / 64, start % 64);
         // Head of the start word (bits at or after `start`).

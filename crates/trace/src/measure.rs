@@ -101,6 +101,7 @@ pub fn arrival_histogram(episodes: &[BarrierEpisode], bins: usize) -> Histogram 
         }
         for &arrival in &e.arrivals {
             let offset = arrival - first;
+            #[expect(clippy::cast_possible_truncation, reason = "offset <= span, so the bin is below bins, a u64")]
             let bin = ((offset as u128 * bins as u128) / (span as u128 + 1)) as u64;
             h.record(bin);
         }

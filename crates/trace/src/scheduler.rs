@@ -325,6 +325,7 @@ impl Scheduler {
 
     /// Length of iteration `iter` of a parallel section, jittered
     /// deterministically.
+    #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
     fn iter_len(&self, section: usize, iter: usize, iter_refs: u32, jitter: f64) -> u32 {
         if jitter == 0.0 {
             return iter_refs.max(1);
@@ -535,7 +536,7 @@ mod tests {
             11,
         );
         let lens: Vec<u32> = (0..64).map(|i| s.iter_len(0, i, 100, 0.4)).collect();
-        let distinct: std::collections::HashSet<u32> = lens.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u32> = lens.iter().copied().collect();
         assert!(distinct.len() > 10, "jitter should vary lengths");
         let mean = lens.iter().map(|&l| l as f64).sum::<f64>() / 64.0;
         assert!((mean - 100.0).abs() < 15.0, "mean {mean}");

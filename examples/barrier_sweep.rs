@@ -15,6 +15,7 @@ use adaptive_backoff::sim::sweep::power_of_two_counts;
 
 fn main() {
     let mut args = std::env::args().skip(1);
+    #[expect(clippy::expect_used, reason = "a malformed argument ends the example with this message")]
     let a: u64 = args
         .next()
         .map(|s| s.parse().expect("A must be a non-negative integer"))

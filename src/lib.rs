@@ -29,9 +29,6 @@
 //! * [`obs`] — cycle-resolved tracing and metrics: trace recorder with a
 //!   bounded ring buffer, metrics registry, Chrome trace-event export
 //!   (Perfetto-compatible), and an in-terminal ASCII timeline.
-//! * [`lint`] — hermetic static analysis enforcing the determinism,
-//!   hermeticity, panic-path, unsafe-audit, arith and contract-xref rules
-//!   across the workspace (`repro lint`).
 //! * [`load`] — the open-loop traffic engine: arrival processes,
 //!   multi-tenant job mixes, admission scheduling, and `OpenLoopSim`
 //!   behind the `loadsweep`/`fairness` exhibits.
@@ -58,7 +55,6 @@ pub use abs_coherence as coherence;
 pub use abs_core as core;
 pub use abs_exec as exec;
 pub use abs_insight as insight;
-pub use abs_lint as lint;
 pub use abs_load as load;
 pub use abs_model as model;
 pub use abs_net as net;

@@ -50,6 +50,7 @@ mod reference {
             addr / self.block_bytes
         }
 
+        #[expect(clippy::cast_possible_truncation, reason = "lossless on the 64-bit hosts the workspace targets")]
         fn line_of(&self, block: u64) -> usize {
             (block % self.lines()) as usize
         }
@@ -66,6 +67,7 @@ mod reference {
         fn new(geometry: Geometry) -> Self {
             Self {
                 geometry,
+                #[expect(clippy::cast_possible_truncation, reason = "lossless on the 64-bit hosts the workspace targets")]
                 tags: vec![None; geometry.lines() as usize],
             }
         }

@@ -122,6 +122,7 @@ fn combining_tree_flattens_flat_barrier_hotspot() {
     );
     // And the hottest module sees a fraction of the flat flag module's
     // load.
+    #[expect(clippy::cast_possible_truncation, reason = "a mean access count times n is a whole count")]
     let flat_flag_load = flat.total_accesses() - (flat.mean_var_accesses() * n as f64) as u64;
     assert!(tree.max_module_accesses() < flat_flag_load / 4);
 }

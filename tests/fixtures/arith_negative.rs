@@ -2,26 +2,6 @@
 //! replacement for a positive-fixture violation, and none may produce a
 //! finding.
 
-/// Widening never truncates.
-pub fn widen(x: u32) -> u64 {
-    u64::from(x)
-}
-
-/// The sanctioned narrowing idiom.
-pub fn narrowed(total_accesses: u64) -> u32 {
-    u32::try_from(total_accesses).unwrap_or(u32::MAX)
-}
-
-/// Char-to-u32 is lossless by construction.
-pub fn char_code(c: char) -> u32 {
-    u32::from(c)
-}
-
-/// A literal operand cannot overflow at runtime.
-pub fn literal_cast() -> u32 {
-    4096u64 as u32
-}
-
 pub struct Stats {
     pub accesses: u64,
     pub busy_cycles: u64,

@@ -1,11 +1,7 @@
 //! Deliberately violating input for the `arith` rule: every function here
 //! must produce at least one finding. Kept out of the real lint walk by
-//! the `fixtures` directory exclusion.
-
-/// Narrowing cast on a non-literal accounting value.
-pub fn truncate(total_accesses: u64) -> u32 {
-    total_accesses as u32
-}
+//! the `fixtures` directory exclusion. (The rule's cast half is clippy's
+//! `cast_possible_truncation`.)
 
 pub struct Stats {
     pub accesses: u64,

@@ -1,6 +1,6 @@
 // Fixture: panic-path opt-outs with written-down invariants.
+#[expect(clippy::unwrap_used, reason = "caller checked is_some() one frame up")]
 pub fn justified(v: Option<u32>) -> u32 {
-    // abs-lint: allow(panic-path) -- caller checked is_some() one frame up
     v.unwrap()
 }
 
@@ -8,7 +8,6 @@ pub fn justified(v: Option<u32>) -> u32 {
 mod tests {
     #[test]
     fn tests_may_unwrap_freely() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+        assert_eq!("1".parse::<u32>().unwrap(), 1);
     }
 }

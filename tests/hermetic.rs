@@ -1,109 +1,35 @@
-//! Hermetic-build guard: no external dependency may (re)appear.
+//! Hermetic-build guard: no external dependency or build script may
+//! (re)appear.
 //!
 //! The build environment for this workspace has no network access, so the
 //! whole dependency closure must live in this repository. This test parses
-//! every `Cargo.toml` in the workspace with a purpose-built minimal TOML
-//! scanner (using a TOML crate would itself break the policy) and asserts
-//! that every entry in a dependency section is a `path`-based workspace
-//! crate.
+//! every `Cargo.toml`, `ledger/`'s included, with the minimal TOML scanner
+//! in `support/manifest.rs` and asserts that every dependency is a
+//! `path`-based workspace crate, that no package has a build script and
+//! that no lockfile names a source.
+
+pub mod support;
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Dependency sections in which every entry must be path-based.
-const DEP_SECTIONS: &[&str] = &[
-    "dependencies",
-    "dev-dependencies",
-    "build-dependencies",
-    "workspace.dependencies",
-];
+use support::manifest::{build_script_lines, dependencies, DepEntry};
 
-/// One `name = ...` entry under a dependency section.
-#[derive(Debug)]
-struct DepEntry {
-    manifest: PathBuf,
-    line_no: usize,
-    name: String,
-    spec: String,
-}
-
-impl DepEntry {
-    /// A dependency is hermetic if it points into the workspace by path or
-    /// defers to `[workspace.dependencies]` (whose entries are themselves
-    /// checked).
-    fn is_hermetic(&self) -> bool {
-        (self.spec.contains("path") && self.spec.contains("=")
-            && spec_field(&self.spec, "path").is_some())
-            || self.name.ends_with(".workspace")
-            || spec_field(&self.spec, "workspace") == Some("true".to_string())
-    }
-
-    /// The `path = "..."` target, if any.
-    fn path_target(&self) -> Option<String> {
-        spec_field(&self.spec, "path")
-    }
-}
-
-/// Extracts `key = value` from an inline table spec like
-/// `{ path = "crates/sim", optional = true }`; string values are unquoted.
-fn spec_field(spec: &str, key: &str) -> Option<String> {
-    let body = spec.trim().strip_prefix('{')?.strip_suffix('}')?;
-    for part in body.split(',') {
-        let (k, v) = part.split_once('=')?;
-        if k.trim() == key {
-            let v = v.trim();
-            return Some(v.trim_matches('"').to_string());
-        }
-    }
-    None
-}
-
-/// Collects every dependency entry from one manifest.
+/// Every dependency entry of one manifest.
 fn scan_manifest(manifest: &Path) -> Vec<DepEntry> {
     let text = fs::read_to_string(manifest)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", manifest.display()));
-    let mut entries = Vec::new();
-    let mut section = String::new();
-    for (i, raw) in text.lines().enumerate() {
-        // Strip comments outside strings — good enough for our manifests,
-        // which never put '#' inside a string.
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            section = line.trim_matches(['[', ']']).to_string();
-            continue;
-        }
-        if !DEP_SECTIONS.contains(&section.as_str()) {
-            continue;
-        }
-        let Some((name, spec)) = line.split_once('=') else {
-            panic!(
-                "{}:{}: unparsable dependency line {line:?}",
-                manifest.display(),
-                i + 1
-            );
-        };
-        entries.push(DepEntry {
-            manifest: manifest.to_path_buf(),
-            line_no: i + 1,
-            name: name.trim().to_string(),
-            spec: spec.trim().to_string(),
-        });
-    }
-    entries
+    dependencies(&text).unwrap_or_else(|(line, text)| {
+        panic!("{}:{line}: unparsable dependency line {text:?}", manifest.display())
+    })
 }
 
-/// The workspace root (the facade package's manifest dir).
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Every manifest in the workspace: the root plus each crate.
+/// Every manifest in the repository: the root, each crate and the
+/// benchmark package `ledger/`.
+#[expect(clippy::expect_used, reason = "a test helper fails the calling test by panicking")]
 fn workspace_manifests() -> Vec<PathBuf> {
-    let root = workspace_root();
+    let root = support::root();
     let mut manifests = vec![root.join("Cargo.toml")];
     let crates = fs::read_dir(root.join("crates")).expect("crates/ exists");
     for entry in crates {
@@ -115,6 +41,7 @@ fn workspace_manifests() -> Vec<PathBuf> {
         );
         manifests.push(manifest);
     }
+    manifests.push(root.join("ledger/Cargo.toml"));
     manifests
 }
 
@@ -123,7 +50,7 @@ fn every_dependency_is_a_path_based_workspace_crate() {
     let manifests = workspace_manifests();
     assert!(
         manifests.len() >= 13,
-        "expected the root and at least twelve crates, found {}",
+        "expected the root, at least eleven crates and the ledger, found {}",
         manifests.len()
     );
 
@@ -135,7 +62,7 @@ fn every_dependency_is_a_path_based_workspace_crate() {
             if !dep.is_hermetic() {
                 violations.push(format!(
                     "{}:{}: `{} = {}` is not a path-based workspace dependency",
-                    dep.manifest.display(),
+                    manifest.display(),
                     dep.line_no,
                     dep.name,
                     dep.spec
@@ -156,7 +83,7 @@ fn every_dependency_is_a_path_based_workspace_crate() {
 
 #[test]
 fn path_dependencies_resolve_to_workspace_crates() {
-    let root = workspace_root();
+    let root = support::root();
     let mut seen = BTreeSet::new();
     for manifest in workspace_manifests() {
         let base = manifest.parent().unwrap().to_path_buf();
@@ -167,7 +94,7 @@ fn path_dependencies_resolve_to_workspace_crates() {
                 assert!(
                     target_manifest.is_file(),
                     "{}:{}: path dependency {:?} does not point at a crate",
-                    dep.manifest.display(),
+                    manifest.display(),
                     dep.line_no,
                     target
                 );
@@ -175,7 +102,7 @@ fn path_dependencies_resolve_to_workspace_crates() {
                 assert!(
                     canonical.starts_with(root.canonicalize().unwrap()),
                     "{}:{}: path dependency {:?} escapes the workspace",
-                    dep.manifest.display(),
+                    manifest.display(),
                     dep.line_no,
                     target
                 );
@@ -202,10 +129,6 @@ fn path_dependencies_resolve_to_workspace_crates() {
         "abs-obs must be registered as a path dependency: {seen:?}"
     );
     assert!(
-        seen.iter().any(|p| p.ends_with("crates/lint")),
-        "abs-lint must be registered as a path dependency: {seen:?}"
-    );
-    assert!(
         seen.iter().any(|p| p.ends_with("crates/load")),
         "abs-load must be registered as a path dependency: {seen:?}"
     );
@@ -213,4 +136,36 @@ fn path_dependencies_resolve_to_workspace_crates() {
         seen.iter().any(|p| p.ends_with("crates/insight")),
         "abs-insight must be registered as a path dependency: {seen:?}"
     );
+}
+
+#[test]
+fn no_package_runs_a_build_script() {
+    // A build script runs arbitrary host code before the crate compiles,
+    // outside anything the tests or lints see.
+    let mut violations = Vec::new();
+    for manifest in workspace_manifests() {
+        let script = manifest.parent().unwrap().join("build.rs");
+        if script.exists() {
+            violations.push(format!("{}: build script", script.display()));
+        }
+        let text = fs::read_to_string(&manifest).unwrap();
+        for (line_no, line) in build_script_lines(&text) {
+            violations.push(format!("{}:{line_no}: {line}", manifest.display()));
+        }
+    }
+    assert!(violations.is_empty(), "build scripts are not allowed:\n{}", violations.join("\n"));
+}
+
+#[test]
+fn lockfiles_name_no_external_source() {
+    // Path packages have no `source`; a registry or git package always
+    // does, even after its manifest entry is gone.
+    let root = support::root();
+    for lock in [root.join("Cargo.lock"), root.join("ledger/Cargo.lock")] {
+        let text = fs::read_to_string(&lock).unwrap();
+        assert!(text.contains("[[package]]"), "{} lists no packages", lock.display());
+        let sources: Vec<&str> =
+            text.lines().filter(|l| l.trim_start().starts_with("source =")).collect();
+        assert!(sources.is_empty(), "{} names external sources: {sources:?}", lock.display());
+    }
 }

@@ -1,72 +1,78 @@
-//! The abs-lint gate over this workspace.
+//! The lint gate over this workspace.
 //!
-//! The tree must lint clean, and the rules must still see the violations
-//! they exist for: a determinism ban and an unchecked accounting counter,
-//! each planted in memory into a real simulator source.
+//! The source rules (DESIGN.md "Lints") are clippy lints, set to `deny` in
+//! the root manifest's `[workspace.lints.clippy]` table, with the banned
+//! types and methods in `clippy.toml`, plus the two text rules of
+//! `support/rules.rs`. These tests run clippy the way CI does, show that
+//! the configuration and the arith rule catch planted violations, and
+//! hold every manifest to the shared table.
 
-use abs_lint::rules::{scan_source, Rule, SourcePolicy};
-use abs_lint::sem::{scan_file, ParsedFile};
-use abs_lint::{default_root, lint_workspace};
+pub mod support;
 
-/// Reads a workspace source and returns it with its line count.
-fn real_source(rel: &str) -> (String, u32) {
-    let path = default_root().join(rel);
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let lines = u32::try_from(text.lines().count()).expect("source line count fits u32");
-    (text, lines)
-}
+use std::fs;
+
+use support::clippy::{clippy, diagnostics, lint_table, planted_crate};
+use support::root;
+use support::rules::arith_findings;
 
 #[test]
 fn this_workspace_is_clean() {
-    // The acceptance gate: the tree the lint ships in passes its own
-    // pass. Every historical finding was either fixed or explicitly
-    // allowlisted with a justification.
-    let report = lint_workspace(&default_root()).expect("lint runs");
+    let out = clippy(&root(), "clippy-workspace", &["--workspace", "--all-targets", "--", "-D", "warnings"]);
     assert!(
-        report.is_clean(),
-        "the workspace must lint clean:\n{}",
-        report.to_text()
-    );
-    assert!(report.files_scanned >= 80, "{}", report.files_scanned);
-    assert!(
-        report.manifests_scanned >= 11,
-        "{}",
-        report.manifests_scanned
+        out.status.success(),
+        "cargo clippy --workspace --all-targets -- -D warnings failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
 }
 
 #[test]
 fn seeded_violation_is_caught() {
-    // Simulate reintroducing a HashMap into crates/coherence: scan the
-    // real directory.rs source with one poisoned line appended under
-    // the crate's real policy.
-    let rel = "crates/coherence/src/directory.rs";
-    let (mut text, line_count) = real_source(rel);
-    text.push_str("use std::collections::HashMap;\n");
-    let (findings, _) = scan_source(rel, &text, SourcePolicy::sim_crate());
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::Determinism && f.line == line_count + 1),
-        "{findings:?}"
-    );
+    let planted = "pub fn map() -> std::collections::HashMap<u32, u32> { Default::default() }\n\
+                   pub fn first(v: &[u32]) -> u32 { *v.first().unwrap() }\n\
+                   pub fn narrow(x: u64) -> u32 { x as u32 }\n";
+    let dir = planted_crate("lint-planted", &[("lib.rs", planted)]);
+    let out = clippy(&dir, "clippy-planted", &["--message-format=json"]);
+    assert!(!out.status.success(), "clippy passed the planted violations");
+    let found = diagnostics(&String::from_utf8_lossy(&out.stdout));
+    for (line, lint) in [(1, "disallowed_types"), (2, "unwrap_used"), (3, "cast_possible_truncation")] {
+        assert!(
+            found.iter().any(|d| d.line == line && d.code == format!("clippy::{lint}")),
+            "clippy did not report clippy::{lint} at line {line}: {found:?}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
 fn planted_unchecked_presented_counter_is_caught() {
     // The barrier's `presented` counter is one the paper's access counts
     // are built from; an unchecked increment appended to the real source
-    // must trip `arith` at exactly that line.
-    let rel = "crates/core/src/barrier.rs";
-    let (mut text, line_count) = real_source(rel);
+    // must be caught at exactly that line.
+    let path = root().join("crates/core/src/barrier.rs");
+    let mut text = fs::read_to_string(path).unwrap();
+    let lines = text.lines().count();
     text.push_str("fn planted(s: &mut Stats) {\n    s.presented += 1;\n}\n");
-    let pf = ParsedFile::parse(rel, &text, SourcePolicy::sim_crate());
-    let findings = scan_file(&pf);
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == Rule::Arith && f.line == line_count + 2),
-        "{findings:?}"
-    );
+    let findings = arith_findings(&text);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].0, lines + 2, "{findings:?}");
+}
+
+#[test]
+fn every_manifest_inherits_the_workspace_lints() {
+    // Cargo inherits `[lints]` whole or not at all, so a crate without
+    // `[lints] workspace = true` silently drops every rule.
+    let root = root();
+    assert!(lint_table().lines().count() > 1, "the root lint table is empty");
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for entry in fs::read_dir(root.join("crates")).unwrap() {
+        manifests.push(entry.unwrap().path().join("Cargo.toml"));
+    }
+    for manifest in manifests {
+        let text = fs::read_to_string(&manifest).unwrap();
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} must opt into the workspace lints with `[lints] workspace = true`",
+            manifest.display()
+        );
+    }
 }

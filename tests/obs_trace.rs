@@ -61,7 +61,7 @@ fn barrier_trace_spans_are_balanced_per_lane() {
         let sim = BarrierSim::new(BarrierConfig::new(n, span), BackoffPolicy::exponential(2));
         let mut ring = Ring::default();
         sim.run_traced(seed, &mut ring);
-        for tid in 0..n as u32 {
+        for tid in 0..u32::try_from(n).unwrap() {
             let mut depth = 0i64;
             for e in ring.events().iter().filter(|e| e.tid == tid) {
                 match e.phase {

@@ -154,8 +154,8 @@ fn omega_paths_terminate_at_destination() {
         dst_raw in check::any_u64(),
     ) {
         let net = OmegaTopology::new(k);
-        let src = (src_raw % net.size() as u64) as usize;
-        let dst = (dst_raw % net.size() as u64) as usize;
+        let src = usize::try_from(src_raw % net.size() as u64).unwrap();
+        let dst = usize::try_from(dst_raw % net.size() as u64).unwrap();
         let p = net.path(src, dst);
         assert_eq!(p.len(), net.stages());
         assert_eq!(*p.last().unwrap(), dst);
@@ -171,8 +171,8 @@ fn omega_same_source_same_dest_identical() {
         dst_raw in check::any_u64(),
     ) {
         let net = OmegaTopology::new(k);
-        let src = (src_raw % net.size() as u64) as usize;
-        let dst = (dst_raw % net.size() as u64) as usize;
+        let src = usize::try_from(src_raw % net.size() as u64).unwrap();
+        let dst = usize::try_from(dst_raw % net.size() as u64).unwrap();
         assert_eq!(net.path(src, dst), net.path(src, dst));
     });
 }
