@@ -189,6 +189,59 @@ fn barrier_zero_delay_polls_untraced_matches_traced() {
 }
 
 #[test]
+fn barrier_writer_stretch_bit_identical() {
+    // Untraced, the event kernel draws through the stretch from the last
+    // variable win to the flag write, taking the writer's rank once per
+    // run of cycles between wake-ups. Variable waits of a fixed offset
+    // (factor 0) or of one cycle per later winner plus an offset wake
+    // some pollers while the writer is pending, so a stretch is cut
+    // short and restarted with a larger set; the 300-cycle offset parks
+    // those wake-ups in the wheel's far tier. Traced, the kernel
+    // resolves every poll miss instead.
+    let policies = [
+        BackoffPolicy::None,
+        BackoffPolicy::OnVariable {
+            factor: 0,
+            offset: 4,
+        },
+        BackoffPolicy::OnVariable {
+            factor: 0,
+            offset: 40,
+        },
+        BackoffPolicy::OnVariable {
+            factor: 1,
+            offset: 100,
+        },
+        BackoffPolicy::OnVariable {
+            factor: 0,
+            offset: 300,
+        },
+    ];
+    for policy in policies {
+        for n in [1usize, 2, 17, 64, 257] {
+            for a in [0u64, 100, 1000] {
+                let sim = BarrierSim::new(
+                    BarrierConfig::new(n, a).with_arbitration(Arbitration::Random),
+                    policy,
+                );
+                for s in 0..3u64 {
+                    let seed = derive_seed(0x5E7C, (n as u64) << 40 | a << 8 | s);
+                    let cell = format!("{policy:?} N={n} A={a} seed={seed}");
+                    let untraced = sim.run_with(seed, Kernel::Event);
+                    assert_eq!(sim.run_with(seed, Kernel::Cycle), untraced, "{cell}");
+                    let mut ring = Ring::new(1 << 10);
+                    assert_eq!(
+                        sim.run_traced_with(seed, &mut ring, Kernel::Event),
+                        untraced,
+                        "{cell}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn property_barrier_kernels_bit_identical() {
     let policies = barrier_policies();
     forall!(Config::with_cases(96), (

@@ -150,6 +150,9 @@ pub struct BarrierRun {
     n: usize,
     /// The arrival interval `A` the episode ran at.
     span: u64,
+    /// The backoff policy the episode ran under: it decides which exact
+    /// access identities [`Self::check_invariants`] can assert.
+    policy: BackoffPolicy,
     accesses: Vec<u64>,
     waiting: Vec<u64>,
     var_accesses: u64,
@@ -230,7 +233,16 @@ impl BarrierRun {
     /// * `completion ≥ flag_set_at`;
     /// * at `A = 0` the variable accesses total exactly `N(N+1)/2`: all
     ///   processes are pending from cycle 0 and one is served per cycle,
-    ///   so the i-th winner presents `i` times.
+    ///   so the i-th winner presents `i` times;
+    /// * when the policy re-polls at once and every variable backoff ends
+    ///   by the cycle after the flag write, the flag-after accesses total
+    ///   exactly `N(N−1)/2`, under every arbitration: the `N − 1` pollers
+    ///   are all pending on that cycle and are served one per cycle, each
+    ///   at its first service;
+    /// * at `A = 0` with no backoff at all, the accesses total exactly
+    ///   `N(N+1)/2 + N·flag_set_at`: the i-th variable winner is served
+    ///   at cycle `i − 1` and then polls every cycle from `i` through the
+    ///   flag set, and the writer's flag requests run from `N` through it.
     ///
     /// That each process's variable, flag-before and flag-after accesses
     /// sum to its total is not checked: [`Self::accesses`] is built as
@@ -256,7 +268,36 @@ impl BarrierRun {
                 self.var_accesses
             ));
         }
+        let pairs = n * n.saturating_sub(1) / 2;
+        if self.polls_from_flag_set() && self.flag_after != pairs {
+            return Err(format!(
+                "flag-after accesses {} != N(N-1)/2 = {pairs}",
+                self.flag_after
+            ));
+        }
+        let spins = self.policy.repolls_immediately()
+            && (1..self.n).all(|i| self.policy.variable_wait(self.n, i) == 0);
+        let (total, law) = (
+            self.total_accesses(),
+            triangle.saturating_add(n.saturating_mul(self.flag_set_at)),
+        );
+        if self.span == 0 && spins && total != law {
+            return Err(format!(
+                "A = 0 total accesses {total} != N(N+1)/2 + N*flag_set_at = {law}"
+            ));
+        }
         Ok(())
+    }
+
+    /// Whether every poller is pending on the cycle after the flag write
+    /// and stays pending until served: the policy re-polls at once, and
+    /// no variable backoff ends after that cycle. The i-th variable
+    /// winner's backoff starts at least `N − i` cycles before the write,
+    /// because the `N − i` later wins and the write take one cycle each;
+    /// so a wait of at most `N − i + 1` cycles ends in time.
+    fn polls_from_flag_set(&self) -> bool {
+        self.policy.repolls_immediately()
+            && (1..self.n).all(|i| self.policy.variable_wait(self.n, i) <= (self.n - i) as u64 + 1)
     }
 }
 
@@ -557,7 +598,7 @@ impl BarrierSim {
             }
         }
 
-        collect_run(&procs, self.config.span, flag_set_at)
+        collect_run(&procs, self.config.span, self.policy, flag_set_at)
     }
 
     /// The event-driven skip-ahead kernel.
@@ -586,18 +627,25 @@ impl BarrierSim {
     ///    flag arbitration, then any sampled backoff delay. Both modules
     ///    are arbitrated on snapshots taken before either winner's
     ///    transition is applied; a variable winner's flag request becomes
-    ///    pending at `now + 1`, exactly as in the cycle stepper. Draws are
-    ///    always kept, but a winner nobody can observe is not resolved:
-    ///    untraced, under random arbitration and a policy that
+    ///    pending at `now + 1`, exactly as in the cycle stepper. Each
+    ///    winner is [taken](PendingSet::take) out of its set with the
+    ///    arbitration's own draw; a winner that stays pending is
+    ///    re-inserted. Draws are always kept, but a winner nobody can
+    ///    observe is not resolved: untraced, under random arbitration and
+    ///    a policy that
     ///    [re-polls immediately](BackoffPolicy::repolls_immediately),
     ///    every flag winner before the last variable win is a poll miss
     ///    that stays pending and changes only its access count (charged
     ///    in bulk anyway) and the arbiter's draw. The flag module then
     ///    only [draws](PendingSet::draw_unobserved); with no variable
     ///    request either, the kernel makes every draw up to the next
-    ///    wake-up in one loop and jumps there. The skipped misses leave
-    ///    poll counts and request ages stale; only the trace, the
-    ///    policy's delay and the ordered arbiters would read them.
+    ///    wake-up in one loop and jumps there. After the last variable
+    ///    win, until the flag write, the same holds for every flag winner
+    ///    but the writer: the kernel takes the writer's
+    ///    [rank](PendingSet::rank) once per stretch between wake-ups and
+    ///    draws until a draw equals it. The skipped misses leave poll
+    ///    counts and request ages stale; only the trace, the policy's
+    ///    delay and the ordered arbiters would read them.
     /// 3. **Same trace order.** Activations fire in id order (the wheel
     ///    pops sorted), counters sample the same busy cycles, and the
     ///    variable handler's events precede the flag handler's.
@@ -613,6 +661,8 @@ impl BarrierSim {
         let mut barrier_count = 0usize;
         let mut flag_set_at: Option<u64> = None;
         let mut done = 0usize;
+        // The last variable winner, who writes the flag.
+        let mut writer = 0usize;
 
         // Pending-request sets, id-sorted (see the bit-identity notes).
         let mut var_pending = PendingSet::new(self.config.arbitration, n);
@@ -669,6 +719,25 @@ impl BarrierSim {
                 sink.counter(lane(n), now, "flag_queue", &[("waiters", flag_pending.len() as f64)]);
             }
 
+            // From the last variable win to the flag write, when misses
+            // are unobservable, only a draw of the writer's rank changes
+            // anything, and the flag set stays fixed until the next
+            // wake-up: draw for each cycle up to it, and serve the write
+            // at the first draw that picks the writer. With no hit, jump
+            // to the wake-up and take the rank again there.
+            let stretch = unobserved_misses && barrier_count == n && flag_set_at.is_none();
+            if stretch {
+                let (rank, len) = (flag_pending.rank(writer), flag_pending.len());
+                let bound = wheel.peek_min().unwrap_or(u64::MAX);
+                match (now..bound).find(|_| rng.next_below_usize(len) == rank) {
+                    Some(hit) => now = hit,
+                    None => {
+                        now = bound;
+                        continue;
+                    }
+                }
+            }
+
             // Until the last variable win the flag writer is not pending,
             // so every flag winner is a poll miss; when those misses are
             // unobservable, only their draws are kept. With the variable
@@ -687,22 +756,26 @@ impl BarrierSim {
                 continue;
             }
 
-            // Arbitrate both modules on this cycle's snapshots. The RNG
-            // draw order (variable, then flag) matches the cycle stepper;
-            // the variable winner's transition cannot join this cycle's
-            // flag arbitration because its flag request is pending only
-            // from `now + 1`.
-            let var_winner = var_pending.arbitrate(&mut rng);
-            let flag_winner = if draw_only {
+            // Arbitrate both modules on this cycle's snapshots, taking each
+            // winner's request out of its set. The RNG draw order
+            // (variable, then flag) matches the cycle stepper; the variable
+            // winner's transition cannot join this cycle's flag arbitration
+            // because its flag request is pending only from `now + 1`.
+            let var_winner = var_pending.take(&mut rng);
+            let flag_winner = if stretch {
+                // The stretch already drew this cycle's flag winner.
+                flag_pending.remove(writer);
+                Some(writer)
+            } else if draw_only {
                 flag_pending.draw_unobserved(&mut rng);
                 None
             } else {
-                flag_pending.arbitrate(&mut rng)
+                flag_pending.take(&mut rng).map(|req| req.id)
             };
 
             // Serve the barrier-variable winner.
-            if let Some(winner) = var_winner {
-                let req = var_pending.remove(winner);
+            if let Some(req) = var_winner {
+                let winner = req.id;
                 barrier_count += 1;
                 let i = barrier_count;
                 // Presented on every cycle since enqueue, served or denied.
@@ -717,6 +790,7 @@ impl BarrierSim {
                     ],
                 );
                 if i == n {
+                    writer = winner;
                     procs.phase[winner] = Phase::FlagWrite { since: now + 1 };
                     flag_pending.insert(Request::new(winner, now + 1));
                     flag_from[winner] = now + 1;
@@ -741,7 +815,6 @@ impl BarrierSim {
                 let set = flag_set_at.is_some_and(|t| now >= t);
                 match procs.phase[winner] {
                     Phase::FlagWrite { .. } => {
-                        flag_pending.remove(winner);
                         procs.charge_flag(winner, flag_from[winner], now, flag_set_at);
                         flag_set_at = Some(now);
                         procs.phase[winner] = Phase::Done;
@@ -767,7 +840,6 @@ impl BarrierSim {
                     }
                     Phase::FlagPoll { .. } => {
                         if set {
-                            flag_pending.remove(winner);
                             procs.charge_flag(winner, flag_from[winner], now, flag_set_at);
                             procs.phase[winner] = Phase::Done;
                             procs.done_at[winner] = now;
@@ -787,12 +859,12 @@ impl BarrierSim {
                                 .sampled_flag_delay(procs.polls[winner], &mut rng)
                             {
                                 Some(0) => {
-                                    // Still pending next cycle; only the
-                                    // request age changes (oldest-first
-                                    // arbitration reads it). The charge
-                                    // interval keeps running — no removal.
+                                    // Pending again next cycle, re-aged
+                                    // (oldest-first arbitration reads the
+                                    // age). The charge interval keeps
+                                    // running: `flag_from` is not reset.
                                     procs.phase[winner] = Phase::FlagPoll { since: now + 1 };
-                                    flag_pending.refresh(winner, now + 1);
+                                    flag_pending.insert(Request::new(winner, now + 1));
                                 }
                                 Some(d) => {
                                     sink.span_begin(
@@ -802,7 +874,6 @@ impl BarrierSim {
                                         &[("wait", d as f64)],
                                     );
                                     sink.span_end(lane(winner), now + 1 + d, "backoff", &[]);
-                                    flag_pending.remove(winner);
                                     procs.charge_flag(winner, flag_from[winner], now, flag_set_at);
                                     procs.phase[winner] = Phase::Waiting { until: now + 1 + d };
                                     wheel.schedule(now + 1 + d, winner);
@@ -810,7 +881,6 @@ impl BarrierSim {
                                 None => {
                                     // Park; the enqueue operation itself is a
                                     // network transaction.
-                                    flag_pending.remove(winner);
                                     procs.charge_flag(winner, flag_from[winner], now, flag_set_at);
                                     procs.phase[winner] = Phase::Queued;
                                     procs.was_queued[winner] = true;
@@ -838,14 +908,19 @@ impl BarrierSim {
             }
         }
 
-        collect_run(&procs, self.config.span, flag_set_at)
+        collect_run(&procs, self.config.span, self.policy, flag_set_at)
     }
 }
 
 /// Builds the episode result from the final processor states (shared by
 /// both kernels, so the field derivations cannot drift apart). Every pass
 /// streams sequentially over one or two SoA arrays.
-fn collect_run(procs: &ProcState, span: u64, flag_set_at: Option<u64>) -> BarrierRun {
+fn collect_run(
+    procs: &ProcState,
+    span: u64,
+    policy: BackoffPolicy,
+    flag_set_at: Option<u64>,
+) -> BarrierRun {
     let n = procs.arrival.len();
     let accesses: Vec<u64> = (0..n)
         .map(|i| procs.var_accesses[i] + procs.flag_before[i] + procs.flag_after[i])
@@ -855,6 +930,7 @@ fn collect_run(procs: &ProcState, span: u64, flag_set_at: Option<u64>) -> Barrie
     BarrierRun {
         n,
         span,
+        policy,
         var_accesses: procs.var_accesses.iter().sum(),
         flag_before: procs.flag_before.iter().sum(),
         flag_after: procs.flag_after.iter().sum(),
@@ -925,10 +1001,20 @@ mod tests {
 
     #[test]
     fn invariants_hold_on_every_policy_and_kernel() {
+        // The last two variable backoffs can outlast the flag write, so
+        // the flag-after identity must not be asserted for them.
         let policies = [
             BackoffPolicy::None,
             BackoffPolicy::exponential(8),
             BackoffPolicy::on_variable(),
+            BackoffPolicy::OnVariable {
+                factor: 2,
+                offset: 0,
+            },
+            BackoffPolicy::OnVariable {
+                factor: 4,
+                offset: 100,
+            },
             BackoffPolicy::QueueOnThreshold {
                 base: 2,
                 threshold: 4,
@@ -957,6 +1043,8 @@ mod tests {
     fn invariants_catch_broken_runs() {
         let good = BarrierSim::new(BarrierConfig::new(16, 0), BackoffPolicy::None).run(3);
         assert_eq!(good.check_invariants(), Ok(()));
+        let mut one_more = good.accesses.clone();
+        one_more[0] += 1;
         let broken = [
             BarrierRun {
                 accesses: vec![1; 16],
@@ -974,17 +1062,51 @@ mod tests {
                 var_accesses: good.var_accesses + 1,
                 ..good.clone()
             },
+            // One poller served twice after the flag set.
+            BarrierRun {
+                flag_after: good.flag_after + 1,
+                ..good.clone()
+            },
+            // One pending interval charged a cycle too long.
+            BarrierRun {
+                accesses: one_more.clone(),
+                ..good.clone()
+            },
         ];
         for run in broken {
             assert!(run.check_invariants().is_err(), "{run:?}");
         }
-        // The exact variable total is an A = 0 law only.
+        // The exact variable and total identities are A = 0 laws only.
         let spread = BarrierRun {
             span: 1,
             var_accesses: good.var_accesses + 1,
-            ..good
+            accesses: one_more.clone(),
+            ..good.clone()
         };
         assert_eq!(spread.check_invariants(), Ok(()));
+        // The total identity needs no backoff, the flag-after identity
+        // every poller pending by the cycle after the write.
+        let variable_backoff = BarrierRun {
+            policy: BackoffPolicy::on_variable(),
+            accesses: one_more.clone(),
+            ..good.clone()
+        };
+        assert_eq!(variable_backoff.check_invariants(), Ok(()));
+        for policy in [
+            BackoffPolicy::exponential(2),
+            BackoffPolicy::OnVariable {
+                factor: 2,
+                offset: 0,
+            },
+        ] {
+            let late_pollers = BarrierRun {
+                policy,
+                flag_after: good.flag_after + 1,
+                accesses: one_more.clone(),
+                ..good.clone()
+            };
+            assert_eq!(late_pollers.check_invariants(), Ok(()), "{policy:?}");
+        }
     }
 
     #[test]

@@ -443,6 +443,36 @@ impl Fenwick {
         word * WORD + select_in_word(self.bits[word], u64::from(remaining)) as usize
     }
 
+    /// Clears and returns the k-th smallest pending id (`k < len`) in the
+    /// one descent [`Self::select`] makes. A node the descent does not
+    /// take holds the target in its range, so the untaken nodes are
+    /// exactly the target word's update path below the root: the descent
+    /// decrements them as it passes, and the root (which it never visits)
+    /// up front. `select` followed by `clear` would walk that path twice.
+    #[expect(clippy::cast_possible_truncation, reason = "a bit position within a word is below 64")]
+    fn take(&mut self, k: usize) -> usize {
+        debug_assert!(k < self.len);
+        let size = self.tree.len() - 1;
+        self.tree[size] -= 1;
+        let mut remaining = u32::try_from(k).unwrap_or(u32::MAX);
+        let mut word = 0usize;
+        let mut step = size / 2;
+        while step > 0 {
+            // Masks, not branches, as in `select`.
+            let node = &mut self.tree[word + step];
+            let count = *node;
+            let take = u32::from(count <= remaining).wrapping_neg();
+            remaining -= count & take;
+            *node -= !take & 1;
+            word += step & take as usize;
+            step /= 2;
+        }
+        let bit = select_in_word(self.bits[word], u64::from(remaining)) as usize;
+        self.bits[word] &= !(1 << bit);
+        self.len -= 1;
+        word * WORD + bit
+    }
+
     /// The smallest pending id at or above `base`, wrapping to the
     /// smallest pending id overall (`len > 0`): round-robin's winner. The
     /// base's own word answers with one masked `trailing_zeros`; only
@@ -511,6 +541,15 @@ impl PendingSet {
     /// Whether no request is pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Pending ids strictly below `id`: under random arbitration, the
+    /// draw `k` that picks `id` when it is pending.
+    pub fn rank(&self, id: usize) -> usize {
+        match &self.index {
+            Index::Sorted(requests) => requests.partition_point(|r| r.id < id),
+            Index::Fenwick(fw) => fw.rank(id),
+        }
     }
 
     /// The k-th smallest pending id, 0-indexed (`k < len`).
@@ -617,6 +656,29 @@ impl PendingSet {
         };
         self.last_winner = Some(winner);
         Some(winner)
+    }
+
+    /// Picks this cycle's winner as [`Self::arbitrate`] does — the same
+    /// draw, the same tie-breaks — and removes its request, as
+    /// [`Self::remove`] would. Under random arbitration the draw's index
+    /// is served in one pass: one tree descent in the word index, one
+    /// `Vec::remove` in the vector. The ordered policies arbitrate, then
+    /// remove.
+    pub fn take(&mut self, rng: &mut Xoshiro256PlusPlus) -> Option<Request> {
+        if self.policy != Arbitration::Random || self.is_empty() {
+            let winner = self.arbitrate(rng)?;
+            return Some(self.remove(winner));
+        }
+        let k = rng.next_below_usize(self.len());
+        let req = match &mut self.index {
+            Index::Sorted(requests) => requests.remove(k),
+            Index::Fenwick(fw) => {
+                let id = fw.take(k);
+                Request::new(id, fw.since[id])
+            }
+        };
+        self.last_winner = Some(req.id);
+        Some(req)
     }
 
     /// Advances `rng` exactly as [`Self::arbitrate`] would on this set —
@@ -882,12 +944,14 @@ mod tests {
         }
     }
 
-    /// Pending ids of `set` strictly below `bound`, from either layout.
-    fn rank(set: &PendingSet, bound: usize) -> usize {
-        match &set.index {
-            Index::Sorted(requests) => requests.partition_point(|r| r.id < bound),
-            Index::Fenwick(fw) => fw.rank(bound),
-        }
+    /// How the lockstep run serves each cycle's winner.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Serve {
+        /// `arbitrate`, then `remove` of the winner.
+        ArbitrateRemove,
+        /// `take`, then a check that the word index's tree equals a fresh
+        /// rebuild of its bits.
+        Take,
     }
 
     /// Runs a set declared at `capacity` in lockstep with an id-sorted
@@ -896,7 +960,7 @@ mod tests {
     /// step, under a churn whose ids hug word edges and land past the
     /// declared capacity (so the vector grows, or `grow_for` rebuilds the
     /// index, mid-run). The layout must be the one the capacity picks.
-    fn assert_lockstep_with_module(seed: u64, policy: Arbitration, capacity: usize) {
+    fn assert_lockstep_with_module(seed: u64, policy: Arbitration, capacity: usize, serve: Serve) {
         let mut set = PendingSet::new(policy, capacity);
         assert_eq!(
             matches!(set.index, Index::Fenwick(_)),
@@ -943,7 +1007,7 @@ mod tests {
             assert_eq!(set.len(), pending.len());
             let bound = churn.next_below_usize(3 * capacity + 130);
             let at = pending.partition_point(|r| r.id < bound);
-            assert_eq!(rank(&set, bound), at, "rank({bound}) at cycle {cycle}");
+            assert_eq!(set.rank(bound), at, "rank({bound}) at cycle {cycle}");
             if !pending.is_empty() {
                 let k = churn.next_below_usize(pending.len());
                 assert_eq!(set.select(k), pending[k].id, "select({k}) at cycle {cycle}");
@@ -954,13 +1018,30 @@ mod tests {
                     "first_from({bound}) at cycle {cycle}"
                 );
             }
-            let expect = module.arbitrate(&pending, &mut module_rng);
-            let got = set.arbitrate(&mut set_rng);
-            assert_eq!(expect, got, "{policy:?} capacity {capacity} cycle {cycle}");
-            if let Some(w) = got {
+            let expect = module.arbitrate(&pending, &mut module_rng).map(|w| {
                 let at = pending.binary_search_by_key(&w, |r| r.id).unwrap();
-                assert_eq!(set.remove(w), pending.remove(at));
+                pending.remove(at)
+            });
+            let got = match serve {
+                Serve::ArbitrateRemove => set.arbitrate(&mut set_rng).map(|w| set.remove(w)),
+                Serve::Take => set.take(&mut set_rng),
+            };
+            assert_eq!(expect, got, "{policy:?} capacity {capacity} cycle {cycle}");
+            assert_eq!(set_rng, module_rng, "draws at cycle {cycle}");
+            if serve == Serve::Take {
+                assert_tree_rebuilt(&set, cycle);
             }
+        }
+    }
+
+    /// The word index's tree and length equal those rebuilt from its bits.
+    fn assert_tree_rebuilt(set: &PendingSet, cycle: u64) {
+        if let Index::Fenwick(fw) = &set.index {
+            let mut fresh = fw.clone();
+            fresh.rebuild();
+            assert_eq!(fw.tree, fresh.tree, "tree after take at cycle {cycle}");
+            let popcount: u32 = fw.bits.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(fw.len, popcount as usize, "len after take at cycle {cycle}");
         }
     }
 
@@ -974,7 +1055,12 @@ mod tests {
             policy_ix in check::usize_in(0..3),
             cap_ix in check::usize_in(0..7),
         ) {
-            assert_lockstep_with_module(seed, Arbitration::ALL[policy_ix], CAPACITIES[cap_ix]);
+            assert_lockstep_with_module(
+                seed,
+                Arbitration::ALL[policy_ix],
+                CAPACITIES[cap_ix],
+                Serve::ArbitrateRemove,
+            );
         });
     }
 
@@ -987,7 +1073,45 @@ mod tests {
             policy_ix in check::usize_in(0..3),
             cap_ix in check::usize_in(0..4),
         ) {
-            assert_lockstep_with_module(seed, Arbitration::ALL[policy_ix], CAPACITIES[cap_ix]);
+            assert_lockstep_with_module(
+                seed,
+                Arbitration::ALL[policy_ix],
+                CAPACITIES[cap_ix],
+                Serve::ArbitrateRemove,
+            );
+        });
+    }
+
+    #[test]
+    fn take_matches_module_arbitrate_and_remove() {
+        // The last vector width, the first word-index width, one word and
+        // one word past it, and a mega-N set on either side of a word.
+        const CAPACITIES: [usize; 6] = [16, 17, 64, 65, 4096, 4097];
+        forall!(Config::with_cases(72), (
+            seed in check::any_u64(),
+            policy_ix in check::usize_in(0..3),
+            cap_ix in check::usize_in(0..6),
+        ) {
+            assert_lockstep_with_module(
+                seed,
+                Arbitration::ALL[policy_ix],
+                CAPACITIES[cap_ix],
+                Serve::Take,
+            );
+        });
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "a 1024-word tree rebuilt after every take needs a release build"
+    )]
+    fn take_matches_module_arbitrate_and_remove_n65536() {
+        forall!(Config::with_cases(6), (
+            seed in check::any_u64(),
+            policy_ix in check::usize_in(0..3),
+        ) {
+            assert_lockstep_with_module(seed, Arbitration::ALL[policy_ix], 1 << 16, Serve::Take);
         });
     }
 
@@ -1066,13 +1190,13 @@ mod tests {
         assert_eq!(set.select(0), 0);
         assert_eq!(set.select(1), 3);
         assert_eq!(set.select(expected - 1), 3 * (expected - 1));
-        assert_eq!(rank(&set, 0), 0);
-        assert_eq!(rank(&set, 4), 2);
-        assert_eq!(rank(&set, n), expected);
+        assert_eq!(set.rank(0), 0);
+        assert_eq!(set.rank(4), 2);
+        assert_eq!(set.rank(n), expected);
         // Churn: removing shifts every later rank down by one.
         set.remove(3);
         assert_eq!(set.select(1), 6);
-        assert_eq!(rank(&set, 7), 2);
+        assert_eq!(set.rank(7), 2);
     }
 
     #[test]
