@@ -10,6 +10,7 @@ use abs_core::{
     BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig, CombiningTreeSim, Kernel,
     ResourceConfig, ResourcePolicy, ResourceSim, SingleCounterSim,
 };
+use abs_load::{Arrival, LoadConfig, OpMix, OpenLoopSim, Tenant};
 use abs_net::{
     Arbitration, CircuitConfig, CircuitSim, NetworkBackoff, PacketConfig, PacketSim,
 };
@@ -370,6 +371,33 @@ fn combining_exhaustive_grid_bit_identical() {
 }
 
 #[test]
+fn combining_zero_delay_polls_bit_identical() {
+    // Under random arbitration and a policy that re-polls at once, a node
+    // whose flag is unset and that has no releaser pending only draws for
+    // its flag module. Releasers arrive at a node from the root down, so
+    // deep trees (degree 2) and wide ones (degree 8) end those stretches
+    // at different depths.
+    for policy in zero_delay_poll_policies() {
+        for n in [17usize, 64, 100, 256] {
+            for degree in 2..=8usize {
+                for a in [0u64, 100, 1000] {
+                    let sim = CombiningTreeSim::new(
+                        CombiningConfig::new(n, a, degree).with_arbitration(Arbitration::Random),
+                        policy,
+                    );
+                    let seed = derive_seed(0xC0FE, (n as u64) << 40 | (degree as u64) << 20 | a);
+                    assert_eq!(
+                        sim.run_with(seed, Kernel::Cycle),
+                        sim.run_with(seed, Kernel::Event),
+                        "{policy:?} N={n} A={a} d={degree} seed={seed}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn combining_fenwick_width_bit_identical() {
     // Nodes 1100–2048 wide: word-index sets whose id space spans many
     // Fenwick levels, which the degree ≤ 24 grid above never reaches.
@@ -665,4 +693,74 @@ fn packet_traces_bit_identical() {
         assert_eq!(a, b, "{policy:?}");
         assert_eq!(cycle_ring.into_events(), event_ring.into_events(), "{policy:?}");
     }
+}
+
+#[test]
+fn openloop_zero_delay_spins_bit_identical() {
+    // Under a policy that re-polls at once, the event kernel schedules an
+    // admitted flag spin straight at its win cycle and charges the skipped
+    // misses at the win, or at the end for a spin that outlives the
+    // horizon. Flag shapes: the default 32/4 window, an odd period with a
+    // one-cycle window, and a flag that is always set. The short horizon
+    // leaves spins waiting at the end; the check below makes sure some do.
+    let policies = [
+        BackoffPolicy::None,
+        BackoffPolicy::on_variable(),
+        BackoffPolicy::exponential(2),
+        BackoffPolicy::Linear { step: 0 },
+    ];
+    let mut truncated_spins = 0usize;
+    for backoff in policies {
+        for (flag_period, flag_duty) in [(32u64, 4u64), (7, 1), (5, 5)] {
+            for procs in [3usize, 16, 64] {
+                for mean_gap in [1.5f64, 12.0] {
+                    let cfg = LoadConfig {
+                        procs,
+                        vars: 3,
+                        horizon: 613,
+                        backoff,
+                        flag_period,
+                        flag_duty,
+                        ..LoadConfig::default()
+                    };
+                    let tenants = vec![
+                        Tenant {
+                            weight: 2,
+                            arrival: Arrival::poisson(mean_gap),
+                            op_mix: OpMix { faa: 1, spin: 4, rmw: 1 },
+                            work: 3,
+                        },
+                        Tenant {
+                            weight: 1,
+                            arrival: Arrival::bursty(4.0, mean_gap / 2.0, 60.0),
+                            op_mix: OpMix::EVEN,
+                            work: 9,
+                        },
+                    ];
+                    let sim = OpenLoopSim::new(cfg, tenants);
+                    let cell = format!("{backoff:?} flag {flag_duty}/{flag_period} P={procs} gap={mean_gap}");
+                    for seed in 0..2u64 {
+                        assert_eq!(
+                            sim.run_with(seed, Kernel::Cycle),
+                            sim.run_with(seed, Kernel::Event),
+                            "{cell} seed={seed}"
+                        );
+                        let mut cycle_ring = Ring::new(1 << 20);
+                        let mut event_ring = Ring::new(1 << 20);
+                        let a = sim.run_traced_with(seed, &mut cycle_ring, Kernel::Cycle);
+                        let b = sim.run_traced_with(seed, &mut event_ring, Kernel::Event);
+                        assert_eq!(a, b, "{cell} seed={seed} traced");
+                        assert_eq!(cycle_ring.dropped(), 0, "{cell}");
+                        let events = event_ring.into_events();
+                        assert_eq!(cycle_ring.into_events(), events, "{cell} seed={seed} trace");
+                        truncated_spins += events
+                            .windows(2)
+                            .filter(|w| w[0].name == "truncated" && w[1].name == "spin")
+                            .count();
+                    }
+                }
+            }
+        }
+    }
+    assert!(truncated_spins > 0, "no spin outlived a horizon");
 }

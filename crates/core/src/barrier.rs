@@ -438,7 +438,7 @@ impl BarrierSim {
             for id in 0..n {
                 match procs.phase[id] {
                     Phase::VarRequest { since } => {
-                        procs.var_accesses[id] += 1;
+                        procs.var_accesses[id] = procs.var_accesses[id].saturating_add(1);
                         var_reqs.push(Request::new(id, since));
                     }
                     Phase::FlagPoll { since } | Phase::FlagWrite { since } => {
@@ -779,7 +779,7 @@ impl BarrierSim {
                 barrier_count += 1;
                 let i = barrier_count;
                 // Presented on every cycle since enqueue, served or denied.
-                procs.var_accesses[winner] += now - req.since + 1;
+                procs.var_accesses[winner] = procs.var_accesses[winner].saturating_add(now - req.since + 1);
                 sink.span_end(
                     lane(winner),
                     now,

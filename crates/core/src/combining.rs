@@ -386,15 +386,15 @@ impl CombiningTreeSim {
             for (id, phase) in phases.iter().enumerate() {
                 match *phase {
                     Phase::VarReq { node, since } => {
-                        accesses[id] += 1;
+                        accesses[id] = accesses[id].saturating_add(1);
                         var_reqs[node].push(Request::new(id, since));
                     }
                     Phase::FlagPoll { node, since, .. } => {
-                        accesses[id] += 1;
+                        accesses[id] = accesses[id].saturating_add(1);
                         flag_reqs[node].push(Request::new(id, since));
                     }
                     Phase::Release { since } => {
-                        accesses[id] += 1;
+                        accesses[id] = accesses[id].saturating_add(1);
                         #[expect(clippy::expect_used, reason = "Release is only entered after climbing owns a node")]
                         let node = *owned[id].last().expect("release implies owned node");
                         flag_reqs[node].push(Request::new(id, since));
@@ -558,7 +558,12 @@ impl CombiningTreeSim {
     /// charges — both the per-processor counts and the per-module hot-spot
     /// counters — are applied wholesale when a request leaves its set; a
     /// zero-delay poll miss re-ages the request in place without breaking
-    /// the charge interval.
+    /// the charge interval. Under random arbitration and a policy that
+    /// [re-polls immediately](BackoffPolicy::repolls_immediately), a miss
+    /// is not even resolved: while a node's flag is unset and no releaser
+    /// is pending there, every flag winner would be a miss that stays
+    /// pending, and random arbitration reads no request age, so the node's
+    /// flag module only [draws](PendingSet::draw_unobserved).
     fn run_event_kernel(&self, seed: u64) -> CombiningRun {
         let n = self.config.n;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
@@ -589,6 +594,13 @@ impl CombiningTreeSim {
         // (node, variable winner, flag winner), each winner a (slot, proc).
         type Winner = Option<(usize, usize)>;
         let mut winners: Vec<(usize, Winner, Winner)> = Vec::new();
+        // Whether a flag poll miss is unobservable: the arbiter reads no
+        // request age or winner history, and the policy re-polls at once
+        // without drawing.
+        let unobserved_misses = self.config.arbitration == Arbitration::Random
+            && self.policy.repolls_immediately();
+        // Releasers pending at each node's flag module.
+        let mut releasers = vec![0usize; nodes.len()];
 
         while done < n {
             // Activate arrivals and expired waits due this cycle, in id
@@ -639,7 +651,14 @@ impl CombiningTreeSim {
             winners.clear();
             for v in &active {
                 let var_winner = var.arbitrate(v, &mut rng);
-                let flag_winner = flag.arbitrate(v, &mut rng);
+                let flag_winner = if unobserved_misses && !nodes[v].flag && releasers[v] == 0 {
+                    // Every pending flag request is a poll that misses and
+                    // stays pending: keep the draw, skip the select.
+                    flag.pending[v].draw_unobserved(&mut rng);
+                    None
+                } else {
+                    flag.arbitrate(v, &mut rng)
+                };
                 winners.push((v, var_winner, flag_winner));
             }
 
@@ -651,8 +670,8 @@ impl CombiningTreeSim {
                     // denied — charged to the processor and to the node's
                     // variable module alike.
                     let span = now - charge_from[winner] + 1;
-                    accesses[winner] += span;
-                    var.presented[v] += span;
+                    accesses[winner] = accesses[winner].saturating_add(span);
+                    var.presented[v] = var.presented[v].saturating_add(span);
                     nodes[v].count += 1;
                     let i = nodes[v].count;
                     let expected = nodes[v].expected;
@@ -674,6 +693,7 @@ impl CombiningTreeSim {
                                 let target = v;
                                 debug_assert_eq!(owned[winner].last(), Some(&target));
                                 flag.insert(&nodes, target, winner, now + 1);
+                                releasers[target] += 1;
                                 charge_from[winner] = now + 1;
                                 active.insert(target);
                             }
@@ -703,9 +723,10 @@ impl CombiningTreeSim {
                     match phases[winner] {
                         Phase::Release { .. } => {
                             flag.pending[v].remove(slot);
+                            releasers[v] -= 1;
                             let span = now - charge_from[winner] + 1;
-                            accesses[winner] += span;
-                            flag.presented[v] += span;
+                            accesses[winner] = accesses[winner].saturating_add(span);
+                            flag.presented[v] = flag.presented[v].saturating_add(span);
                             nodes[v].flag = true;
                             owned[winner].pop();
                             if owned[winner].is_empty() {
@@ -719,6 +740,7 @@ impl CombiningTreeSim {
                                     .last()
                                     .expect("non-empty just checked");
                                 flag.insert(&nodes, target, winner, now + 1);
+                                releasers[target] += 1;
                                 charge_from[winner] = now + 1;
                                 active.insert(target);
                             }
@@ -728,8 +750,8 @@ impl CombiningTreeSim {
                             if nodes[v].flag {
                                 flag.pending[v].remove(slot);
                                 let span = now - charge_from[winner] + 1;
-                                accesses[winner] += span;
-                                flag.presented[v] += span;
+                                accesses[winner] = accesses[winner].saturating_add(span);
+                                flag.presented[v] = flag.presented[v].saturating_add(span);
                                 // Released: propagate down whatever we own.
                                 if owned[winner].is_empty() {
                                     phases[winner] = Phase::Done;
@@ -742,6 +764,7 @@ impl CombiningTreeSim {
                                         .last()
                                         .expect("non-empty just checked");
                                     flag.insert(&nodes, target, winner, now + 1);
+                                    releasers[target] += 1;
                                     charge_from[winner] = now + 1;
                                     active.insert(target);
                                 }
@@ -767,8 +790,8 @@ impl CombiningTreeSim {
                                     Some(d) => {
                                         flag.pending[v].remove(slot);
                                         let span = now - charge_from[winner] + 1;
-                                        accesses[winner] += span;
-                                        flag.presented[v] += span;
+                                        accesses[winner] = accesses[winner].saturating_add(span);
+                                        flag.presented[v] = flag.presented[v].saturating_add(span);
                                         phases[winner] = Phase::FlagWait {
                                             node: v,
                                             until: now + 1 + d,

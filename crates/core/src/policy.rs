@@ -145,17 +145,17 @@ impl BackoffPolicy {
             BackoffPolicy::None | BackoffPolicy::OnVariable { .. } => Some(0),
             BackoffPolicy::Linear { step } => Some(step.saturating_mul(k as u64)),
             BackoffPolicy::Exponential { base, cap } => {
-                let raw = saturating_pow(base, k);
+                let raw = base.saturating_pow(k);
                 Some(match cap {
                     Some(c) => raw.min(c),
                     None => raw,
                 })
             }
-            BackoffPolicy::ExponentialJittered { base } => Some(saturating_pow(base, k)),
+            BackoffPolicy::ExponentialJittered { base } => Some(base.saturating_pow(k)),
             BackoffPolicy::QueueOnThreshold {
                 base, threshold, ..
             } => {
-                let raw = saturating_pow(base, k);
+                let raw = base.saturating_pow(k);
                 if raw > threshold {
                     None
                 } else {
@@ -174,7 +174,7 @@ impl BackoffPolicy {
     ) -> Option<u64> {
         match *self {
             BackoffPolicy::ExponentialJittered { base } => {
-                let bound = saturating_pow(base, k);
+                let bound = base.saturating_pow(k);
                 Some(rng.next_range_u64(1..bound.saturating_add(1).max(2)))
             }
             _ => self.flag_delay(k),
@@ -238,20 +238,32 @@ impl BackoffPolicy {
     }
 }
 
-fn saturating_pow(base: u64, exp: u32) -> u64 {
-    let mut acc: u64 = 1;
-    for _ in 0..exp {
-        acc = acc.saturating_mul(base);
-        if acc == u64::MAX {
-            break;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference: a saturating product, one factor at a time.
+    fn pow_by_loop(base: u64, exp: u32) -> u64 {
+        let mut acc: u64 = 1;
+        for _ in 0..exp {
+            acc = acc.saturating_mul(base);
+            if acc == u64::MAX {
+                break;
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn exponential_delays_match_the_product_loop() {
+        for base in 0..=300u64 {
+            for k in 1..=80u32 {
+                let want = pow_by_loop(base, k);
+                let p = BackoffPolicy::Exponential { base, cap: None };
+                assert_eq!(p.flag_delay(k), Some(want), "{base}^{k}");
+            }
+        }
+    }
 
     #[test]
     fn none_never_waits() {

@@ -268,7 +268,7 @@ impl ResourceSim {
             for (id, phase) in phases.iter().enumerate() {
                 match *phase {
                     Phase::Polling { since, .. } | Phase::Releasing { since } => {
-                        accesses[id] += 1;
+                        accesses[id] = accesses[id].saturating_add(1);
                         reqs.push(Request::new(id, since));
                     }
                     _ => {}
@@ -444,7 +444,7 @@ impl ResourceSim {
                         pending.remove(winner);
                         // Presented on every cycle since enqueue, served or
                         // denied.
-                        accesses[winner] += now - charge_from[winner] + 1;
+                        accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                         held = false;
                         completed += 1;
                         phases[winner] = Phase::Done;
@@ -461,7 +461,7 @@ impl ResourceSim {
                         });
                         if !held {
                             pending.remove(winner);
-                            accesses[winner] += now - charge_from[winner] + 1;
+                            accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                             held = true;
                             acquired_at[winner] = now;
                             waiting_cohort -= 1;
@@ -494,7 +494,7 @@ impl ResourceSim {
                                 pending.refresh(winner, now + 1);
                             } else {
                                 pending.remove(winner);
-                                accesses[winner] += now - charge_from[winner] + 1;
+                                accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                                 phases[winner] = Phase::Waiting {
                                     until: now + 1 + delay,
                                     retries,

@@ -163,7 +163,7 @@ impl SingleCounterSim {
             for (id, phase) in phases.iter().enumerate() {
                 match *phase {
                     Phase::IncRequest { since } | Phase::Poll { since } => {
-                        accesses[id] += 1;
+                        accesses[id] = accesses[id].saturating_add(1);
                         reqs.push(Request::new(id, since));
                     }
                     _ => {}
@@ -313,7 +313,7 @@ impl SingleCounterSim {
                             // The last incrementer proceeds immediately: its
                             // own fetch-and-add returned N.
                             pending.remove(winner);
-                            accesses[winner] += now - charge_from[winner] + 1;
+                            accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                             phases[winner] = Phase::Done;
                             done_at[winner] = now;
                             done += 1;
@@ -327,7 +327,7 @@ impl SingleCounterSim {
                                 pending.refresh(winner, now + 1);
                             } else {
                                 pending.remove(winner);
-                                accesses[winner] += now - charge_from[winner] + 1;
+                                accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                                 phases[winner] = Phase::Waiting {
                                     until: now + 1 + wait,
                                 };
@@ -338,7 +338,7 @@ impl SingleCounterSim {
                     Phase::Poll { .. } => {
                         if count == n {
                             pending.remove(winner);
-                            accesses[winner] += now - charge_from[winner] + 1;
+                            accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                             phases[winner] = Phase::Done;
                             done_at[winner] = now;
                             done += 1;
@@ -361,7 +361,7 @@ impl SingleCounterSim {
                                 pending.refresh(winner, now + 1);
                             } else {
                                 pending.remove(winner);
-                                accesses[winner] += now - charge_from[winner] + 1;
+                                accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
                                 phases[winner] = Phase::Waiting {
                                     until: now + 1 + delay,
                                 };

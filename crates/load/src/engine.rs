@@ -33,15 +33,32 @@
 //! # Kernels and determinism
 //!
 //! Both [`Kernel`]s run the same four phases off the same arrival cursor
-//! and two [`TimeWheel`]s (attempts, completions); the event kernel just
-//! skips cycles where neither the cursor nor a wheel has anything due —
-//! such cycles provably touch no state (admissions can only fire on a
-//! cycle with an arrival or completion, because the engine drains either
-//! the idle-processor set or the pending pool whenever they are both
-//! nonempty). The engine draws no
-//! randomness at all after stream generation, so outcomes and traces are
-//! bit-identical across kernels and across any `--jobs` fan-out by
-//! construction — the equivalence tests pin it anyway.
+//! and two [`TimeWheel`]s (attempts, completions); the event kernel
+//! differs in two ways.
+//!
+//! * **It skips quiet cycles.** After a cycle in which nothing happened,
+//!   it jumps to the next cycle where the cursor or a wheel has something
+//!   due. Such cycles provably touch no state (admissions can only fire
+//!   on a cycle with an arrival or completion, because the engine drains
+//!   either the idle-processor set or the pending pool whenever they are
+//!   both nonempty), and processing the one quiet cycle before the probe
+//!   changes nothing either, so the probe runs only after quiet cycles.
+//! * **It resolves zero-delay spins at admission.** When the backoff
+//!   policy [re-polls immediately](BackoffPolicy::repolls_immediately),
+//!   every poll before the flag is set is a miss that changes only the
+//!   access count, and the flag is a pure function of the cycle. So an
+//!   admitted spin is scheduled straight at its win cycle with its miss
+//!   count, and the misses are charged at the win (or, for a spin that
+//!   outlives the horizon, at the end). While any such spinner waits,
+//!   every cycle stays active, as its poll would have made it, so
+//!   queue-depth samples and admission checks land on the same cycles. A
+//!   zero-delay miss emits no trace event, so traced runs take this path
+//!   too.
+//!
+//! The engine draws no randomness at all after stream generation, so
+//! outcomes and traces are bit-identical across kernels and across any
+//! `--jobs` fan-out by construction — the equivalence tests pin it
+//! anyway.
 
 use abs_core::policy::BackoffPolicy;
 use abs_obs::trace::{lane, TraceSink};
@@ -306,31 +323,15 @@ impl OpenLoopSim {
 
         let mut due: Vec<usize> = Vec::new();
 
+        // Whether spins are resolved at admission (see the module docs),
+        // and how many such spinners have yet to win.
+        let resolve_spins = kernel == Kernel::Event && cfg.backoff.repolls_immediately();
+        let mut spinners = 0usize;
+
         let mut now = 1u64;
         while now <= cfg.horizon {
-            if kernel == Kernel::Event {
-                // Jump over cycles with no arrival and nothing due on a
-                // wheel; such cycles cannot change state (see the module
-                // docs).
-                let next = [
-                    jobs.get(next_arrival).map(|job| job.arrive),
-                    attempts_wheel.peek_min(),
-                    completions.peek_min(),
-                ]
-                .into_iter()
-                .flatten()
-                .min();
-                let wake = next.unwrap_or(cfg.horizon + 1).min(cfg.horizon + 1);
-                if wake > now {
-                    let gap = wake - now;
-                    idle_cycles = idle_cycles.saturating_add(idle_procs * gap);
-                    busy_cycles = busy_cycles.saturating_add((procs as u64 - idle_procs) * gap);
-                    now = wake;
-                    continue;
-                }
-            }
-
-            let mut active = false;
+            // A waiting spinner would have polled, and missed, this cycle.
+            let mut active = spinners > 0;
 
             // 1. Arrivals, in stream order.
             while let Some(&job) = jobs.get(next_arrival).filter(|job| job.arrive <= now) {
@@ -366,6 +367,13 @@ impl OpenLoopSim {
                     ProcState::Spin { ji, attempts } => {
                         let job = jobs[ji];
                         sync_accesses = sync_accesses.saturating_add(1);
+                        if resolve_spins {
+                            // The win; charge the misses since the first
+                            // poll, the cycle after admission.
+                            debug_assert!(self.flag_set(now, job.var), "resolved spin lost at {now}");
+                            sync_accesses = sync_accesses.saturating_add(now - admit_at[p] - 1);
+                            spinners -= 1;
+                        }
                         if self.flag_set(now, job.var) {
                             state[p] = ProcState::Work { ji };
                             completions.schedule(now + job.work, p);
@@ -451,12 +459,20 @@ impl OpenLoopSim {
                     let wait = (now - job.arrive) as f64;
                     wait_all.push(wait);
                     t_wait[tenant].push(wait);
-                    state[p] = match job.op {
-                        OpKind::FetchAdd => ProcState::Faa { ji, attempts: 0 },
-                        OpKind::SpinFlag => ProcState::Spin { ji, attempts: 0 },
-                        OpKind::Rmw => ProcState::RmwRead { ji, attempts: 0 },
+                    let first = now + 1;
+                    let (next_state, at) = match job.op {
+                        OpKind::FetchAdd => (ProcState::Faa { ji, attempts: 0 }, first),
+                        OpKind::SpinFlag if resolve_spins => {
+                            spinners += 1;
+                            let win = self.flag_next_set(first, job.var);
+                            let attempts = u32::try_from(win - first).unwrap_or(u32::MAX);
+                            (ProcState::Spin { ji, attempts }, win)
+                        }
+                        OpKind::SpinFlag => (ProcState::Spin { ji, attempts: 0 }, first),
+                        OpKind::Rmw => (ProcState::RmwRead { ji, attempts: 0 }, first),
                     };
-                    attempts_wheel.schedule(now + 1, p);
+                    state[p] = next_state;
+                    attempts_wheel.schedule(at, p);
                     if sink.enabled() {
                         sink.instant(
                             lane(p),
@@ -488,6 +504,28 @@ impl OpenLoopSim {
             idle_cycles = idle_cycles.saturating_add(idle_procs);
             busy_cycles = busy_cycles.saturating_add(procs as u64 - idle_procs);
             now += 1;
+
+            if kernel == Kernel::Event && !active {
+                // A quiet cycle (no spinner waits either): jump over the
+                // cycles with no arrival and nothing due on a wheel, which
+                // cannot change state (see the module docs).
+                debug_assert_eq!(spinners, 0);
+                let next = [
+                    jobs.get(next_arrival).map(|job| job.arrive),
+                    attempts_wheel.peek_min(),
+                    completions.peek_min(),
+                ]
+                .into_iter()
+                .flatten()
+                .min();
+                let wake = next.unwrap_or(cfg.horizon + 1).min(cfg.horizon + 1);
+                if wake > now {
+                    let gap = wake - now;
+                    idle_cycles = idle_cycles.saturating_add(idle_procs * gap);
+                    busy_cycles = busy_cycles.saturating_add((procs as u64 - idle_procs) * gap);
+                    now = wake;
+                }
+            }
         }
 
         // Close the spans of jobs still running at the horizon. The
@@ -495,6 +533,11 @@ impl OpenLoopSim {
         // processor *through* the horizon cycle (it never completed), so
         // attribution's idle bucket matches `idle_proc_cycles` exactly.
         for (p, s) in state.iter().enumerate() {
+            if resolve_spins && matches!(s, ProcState::Spin { .. }) {
+                // A spinner still waiting missed on every cycle from its
+                // first poll through the horizon.
+                sync_accesses = sync_accesses.saturating_add(cfg.horizon - admit_at[p]);
+            }
             let ji = match *s {
                 ProcState::Idle => continue,
                 ProcState::Faa { ji, .. }
@@ -554,6 +597,17 @@ impl OpenLoopSim {
     /// Whether the external producer has the flag of `var` set at `now`.
     fn flag_set(&self, now: u64, var: usize) -> bool {
         (now + var as u64) % self.config.flag_period < self.config.flag_duty
+    }
+
+    /// The first cycle at or after `from` at which the flag of `var` is
+    /// set.
+    fn flag_next_set(&self, from: u64, var: usize) -> u64 {
+        let phase = (from + var as u64) % self.config.flag_period;
+        if phase < self.config.flag_duty {
+            from
+        } else {
+            from + self.config.flag_period - phase
+        }
     }
 
     /// Claims `var`'s serialization slot for this cycle; the first caller

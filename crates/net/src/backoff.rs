@@ -95,7 +95,7 @@ impl NetworkBackoff {
             }
             NetworkBackoff::ConstantRtt { rtt } => rtt,
             NetworkBackoff::ExponentialRetries { base, cap } => {
-                saturating_pow(base, info.retries).min(cap)
+                base.saturating_pow(info.retries).min(cap)
             }
             NetworkBackoff::QueueFeedback { factor } => factor * info.queue_len as u64,
         }
@@ -116,20 +116,35 @@ impl NetworkBackoff {
     }
 }
 
-fn saturating_pow(base: u64, exp: u32) -> u64 {
-    let mut acc: u64 = 1;
-    for _ in 0..exp {
-        acc = acc.saturating_mul(base);
-        if acc == u64::MAX {
-            break;
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference: a saturating product, one factor at a time.
+    fn pow_by_loop(base: u64, exp: u32) -> u64 {
+        let mut acc: u64 = 1;
+        for _ in 0..exp {
+            acc = acc.saturating_mul(base);
+            if acc == u64::MAX {
+                break;
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn exponential_delays_match_the_product_loop() {
+        for base in 0..=300u64 {
+            for retries in 0..=80u32 {
+                let policy = NetworkBackoff::ExponentialRetries { base, cap: u64::MAX };
+                assert_eq!(
+                    policy.delay(info(1, 4, retries, 0)),
+                    pow_by_loop(base, retries),
+                    "{base}^{retries}"
+                );
+            }
+        }
+    }
 
     fn info(depth: usize, stages: usize, retries: u32, queue_len: usize) -> CollisionInfo {
         CollisionInfo {

@@ -208,9 +208,18 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     value
 }
 
-/// The nearest-rank quantiles of `values` at every `qs[i]`, from one sort:
+/// The nearest-rank quantiles of `values` at every `qs[i]`, from one copy:
 /// entry `i` equals [`quantile`]`(values, qs[i])`, so a latency table's
-/// p50/p95/p99 cost one copy and one sort instead of three.
+/// p50/p95/p99 cost one copy and three selections instead of three sorts.
+///
+/// Non-finite values are dropped. The ranks are selected in ascending
+/// order, each on the suffix above the previous one, so the expected
+/// work is linear in `values.len()` for a fixed `K`. Values order by
+/// [`f64::total_cmp`], which places `-0.0` below `0.0`: at a rank inside
+/// a run of zeros of both signs, the result's sign is that of the zero
+/// a full sort would put there. The two compare equal, so the quantile's
+/// value is the same either way; the exhibits' latencies and waits are
+/// never negative.
 ///
 /// # Panics
 ///
@@ -220,7 +229,7 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 ///
 /// ```
 /// use abs_sim::stats::nearest_ranks;
-/// let v: Vec<f64> = (1..=100).map(f64::from).collect();
+/// let v: Vec<f64> = (1..=100).rev().map(f64::from).collect();
 /// assert_eq!(nearest_ranks(&v, [0.50, 0.95, 0.99]), [50.0, 95.0, 99.0]);
 /// ```
 #[expect(clippy::cast_possible_truncation, reason = "the rank ⌈q·n⌉ lies in [0, n] for q in [0, 1]")]
@@ -232,11 +241,24 @@ pub fn nearest_ranks<const K: usize>(values: &[f64], qs: [f64; K]) -> [f64; K] {
     if v.is_empty() {
         return [0.0; K];
     }
-    #[expect(clippy::expect_used, reason = "values were filtered to finite just above")]
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
     let n = v.len();
-    // 1-based nearest rank ⌈q·n⌉, clamped to [1, n] (q = 0 → minimum).
-    qs.map(|q| v[((q * n as f64).ceil() as usize).clamp(1, n) - 1])
+    // 0-based index of the 1-based nearest rank ⌈q·n⌉, clamped to [1, n]
+    // (q = 0 → minimum).
+    let at = qs.map(|q| ((q * n as f64).ceil() as usize).clamp(1, n) - 1);
+    let mut order: [usize; K] = std::array::from_fn(|i| i);
+    order.sort_unstable_by_key(|&i| at[i]);
+    let mut out = [0.0; K];
+    // Everything below `placed` is final: each selection leaves its rank
+    // in place and only permutes the suffix above it.
+    let mut placed = 0;
+    for i in order {
+        if at[i] >= placed {
+            v[placed..].select_nth_unstable_by(at[i] - placed, f64::total_cmp);
+            placed = at[i] + 1;
+        }
+        out[i] = v[at[i]];
+    }
+    out
 }
 
 /// The 50th percentile (nearest-rank median) of `values`.
@@ -555,6 +577,48 @@ mod tests {
         });
         assert_eq!(nearest_ranks(&[], [0.5, 0.99]), [0.0, 0.0]);
         assert_eq!(nearest_ranks(&[f64::NAN], [0.5]), [0.0]);
+    }
+
+    #[test]
+    fn nearest_ranks_select_what_a_sort_would() {
+        use crate::check::{self, Config};
+        // The reference: sort a finite copy, read each rank.
+        #[expect(clippy::cast_possible_truncation, reason = "the rank ⌈q·n⌉ lies in [0, n] for q in [0, 1]")]
+        fn sorted_ranks<const K: usize>(values: &[f64], qs: [f64; K]) -> [f64; K] {
+            let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
+            if v.is_empty() {
+                return [0.0; K];
+            }
+            v.sort_by(f64::total_cmp);
+            let n = v.len() as f64;
+            qs.map(|q| v[((q * n).ceil() as usize).clamp(1, v.len()) - 1])
+        }
+        // Few distinct values give long runs of duplicates; codes 0-3
+        // plant NaN, ±infinity and -0.0 among them.
+        let decode = |code: u64| match code {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            c => c as f64 - 8.0,
+        };
+        crate::forall!(Config::with_cases(256), (
+            codes in check::vec_of(check::u64_in(0..=14), 0..40),
+            q0 in check::f64_in(0.0..1.0),
+            q1 in check::f64_in(0.0..1.0),
+            q2 in check::f64_in(0.0..1.0),
+        ) {
+            let values: Vec<f64> = codes.iter().map(|&c| decode(c)).collect();
+            // Unsorted, repeated and boundary quantiles.
+            let qs = [q0, 0.99, q1, 0.0, q2, 0.5, 1.0, q0];
+            let want = sorted_ranks(&values, qs);
+            let got = nearest_ranks(&values, qs);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{values:?} {qs:?}");
+        });
+        assert_eq!(nearest_ranks(&[7.0], [0.0, 0.99, 0.5]), [7.0, 7.0, 7.0]);
+        assert_eq!(nearest_ranks(&[f64::NAN, 7.0, f64::INFINITY], [1.0, 0.0]), [7.0, 7.0]);
+        let zeros = nearest_ranks(&[0.0, -0.0, 0.0, -0.0], [0.5, 1.0]);
+        assert_eq!(zeros.map(f64::to_bits), [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub struct TimeWheel {
     now: u64,
     /// Wake-ups in the slots and the far map (arrivals not counted).
     len: usize,
+    /// Whether `pop_due` has run: before it has, the slot at `now` is
+    /// unpopped and a one-cycle advance can skip it.
+    popped: bool,
 }
 
 impl TimeWheel {
@@ -110,6 +113,7 @@ impl TimeWheel {
             cursor: 0,
             now,
             len: 0,
+            popped: false,
         }
     }
 
@@ -196,13 +200,24 @@ impl TimeWheel {
     ///
     /// `now` may not pass a pending wake-up: the kernel advances the clock
     /// either by one cycle or by jumping to [`peek_min`](Self::peek_min).
+    ///
+    /// # Panics
+    ///
+    /// If the clock jumps over a pending wake-up. The check runs on the
+    /// first pop and whenever the clock moves by more than one cycle: it
+    /// is [`peek_min`](Self::peek_min) at the old clock, O(`SLOTS / 64`)
+    /// word operations. A one-cycle step after a pop skips only the slot
+    /// that pop emptied.
     pub fn pop_due(&mut self, now: u64, due: &mut Vec<usize>) {
         due.clear();
         debug_assert!(now >= self.now, "clock moved backwards");
-        debug_assert!(
-            self.peek_min().is_none_or(|t| t >= now),
-            "clock jumped to {now} over a wake-up due earlier"
-        );
+        if now > self.now.saturating_add(1) || !self.popped {
+            assert!(
+                self.peek_min().is_none_or(|t| t >= now),
+                "clock jumped to {now} over a wake-up due earlier"
+            );
+        }
+        self.popped = true;
         // Migrate far wake-ups that entered the slot horizon. Jumps land on
         // the earliest pending wake-up, so a jump across the horizon moves
         // exactly the entries that are now near, and each lands in an empty
@@ -478,6 +493,61 @@ mod tests {
         let mut wheel = TimeWheel::with_arrivals(&[3, 8]);
         assert_eq!(pop(&mut wheel, 3), vec![0]);
         wheel.schedule(5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "over a wake-up due earlier")]
+    fn jumping_over_a_near_wake_up_panics() {
+        let mut wheel = TimeWheel::new(0);
+        wheel.schedule(5, 0);
+        wheel.schedule(9, 1);
+        assert_eq!(pop(&mut wheel, 5), vec![0]);
+        pop(&mut wheel, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "over a wake-up due earlier")]
+    fn jumping_over_a_far_wake_up_panics() {
+        let mut wheel = TimeWheel::new(0);
+        wheel.schedule(5 * TimeWheel::SLOTS as u64, 0);
+        pop(&mut wheel, 6 * TimeWheel::SLOTS as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "over a wake-up due earlier")]
+    fn first_pop_past_an_arrival_panics() {
+        let mut wheel = TimeWheel::with_arrivals(&[3, 4]);
+        pop(&mut wheel, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "over a wake-up due earlier")]
+    fn first_pop_one_cycle_past_a_wake_up_panics() {
+        // Before the first pop the slot at the clock is still unpopped,
+        // so even a one-cycle advance is checked.
+        let mut wheel = TimeWheel::new(7);
+        wheel.schedule(7, 0);
+        pop(&mut wheel, 8);
+    }
+
+    #[test]
+    fn one_cycle_steps_and_exact_jumps_pass_the_jump_check() {
+        // Every wake-up on the first slot after a wrap, at the last near
+        // slot and on the far tier is reached by stepping or by jumping to
+        // the minimum, never skipped.
+        let slots = TimeWheel::SLOTS as u64;
+        let mut wheel = TimeWheel::new(0);
+        for (id, t) in [0u64, 1, slots - 1, slots, 3 * slots + 7].into_iter().enumerate() {
+            wheel.schedule(t, id);
+        }
+        let mut seen = Vec::new();
+        for now in 0..=2 {
+            seen.extend(pop(&mut wheel, now));
+        }
+        while let Some(t) = wheel.peek_min() {
+            seen.extend(pop(&mut wheel, t));
+        }
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

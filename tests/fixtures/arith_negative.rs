@@ -24,3 +24,10 @@ impl Stats {
         width * height + width
     }
 }
+
+/// Indexed counters use the same idiom, and an accounting name used only
+/// as an index leaves a non-counter target unflagged.
+pub fn indexed(presented: &mut [u64], slots: &mut [u64], v: usize, cycles: usize, span: u64) {
+    presented[v] = presented[v].saturating_add(span);
+    slots[cycles] += span;
+}

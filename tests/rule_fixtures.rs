@@ -23,6 +23,13 @@ fn arith_positive_fixture_trips_every_site() {
 }
 
 #[test]
+fn arith_indexed_fixture_trips_every_site() {
+    let findings = arith_findings(include_str!("fixtures/arith_indexed.rs"));
+    // Four compound assignments to indexed counters.
+    assert_eq!(findings.len(), 4, "{findings:?}");
+}
+
+#[test]
 fn arith_negative_fixture_is_clean() {
     let findings = arith_findings(include_str!("fixtures/arith_negative.rs"));
     assert!(findings.is_empty(), "{findings:?}");

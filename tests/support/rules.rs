@@ -265,9 +265,31 @@ fn ident_ending_at(code: &str, end: usize) -> &str {
     &code[start..end]
 }
 
+/// The identifier a compound assignment's target ends at byte `end`:
+/// `x` for `a.x`, and for an indexed target such as `a.x[i][j]` the
+/// identifier before its index groups.
+fn target_ident(code: &str, mut end: usize) -> &str {
+    let b = code.as_bytes();
+    while end > 0 && b[end - 1] == b']' {
+        // Walk back to the `[` that opens this index group.
+        let mut depth = 0;
+        let mut j = end;
+        while j > 0 {
+            j -= 1;
+            depth += i32::from(b[j] == b']') - i32::from(b[j] == b'[');
+            if depth == 0 {
+                break;
+            }
+        }
+        end = code[..j].trim_end().len();
+    }
+    ident_ending_at(code, end)
+}
+
 /// Unchecked `+`/`*` on accounting counters in the non-test code of one
 /// source, as `(line, message)`. A compound `x += …`/`x *= …` counts when
-/// its target's last identifier is a counter; a binary `a + b`/`a * b`
+/// its target's last identifier is a counter, indexed (`x[i] += …`) or
+/// not; a binary `a + b`/`a * b`
 /// counts when the identifier on either side of the operator is one. A
 /// `*` after an operator, `(` or `=` is a dereference, not a product.
 pub fn arith_findings(text: &str) -> Vec<(usize, String)> {
@@ -279,7 +301,7 @@ pub fn arith_findings(text: &str) -> Vec<(usize, String)> {
         let left_end = code[..at].trim_end().len();
         let left = ident_ending_at(&code, left_end);
         let word = if compound {
-            left
+            target_ident(&code, left_end)
         } else {
             let value_before = (left_end > 0 && matches!(b[left_end - 1], b')' | b']'))
                 || !(left.is_empty() || KEYWORDS.contains(&left));
