@@ -6,25 +6,23 @@
 //! cargo run -p abs-bench --release --bin repro -- --quick table1
 //! cargo run -p abs-bench --release --bin repro -- --csv out/ fig5
 //! cargo run -p abs-bench --release --bin repro -- --jobs 8 all
-//! cargo run -p abs-bench --release --bin repro -- --resume all
 //! cargo run -p abs-bench --release --bin repro -- --trace t.json --metrics fig7
 //! cargo run -p abs-bench --release --bin repro -- --kernel cycle fig7
 //! cargo run -p abs-bench --release --bin repro -- --list
 //! cargo run -p abs-bench --release --bin repro -- analyze repro_out/t.json
 //! ```
 //!
-//! `--kernel` selects the simulation kernel: `event` (default) is the
-//! skip-ahead kernel, `cycle` the reference oracle. The two are
-//! bit-identical, so the choice affects wall time only — which is also why
-//! the kernel is not part of the `--resume` manifest's config equality.
+//! `--kernel` selects the kernel of the simulators that have two: `event`
+//! (default) is the skip-ahead kernel, `cycle` the reference oracle. The
+//! two are bit-identical, so the choice affects wall time only; the
+//! single-counter barrier has one kernel and ignores it.
 //!
 //! Exhibits run on the `abs-exec` engine: `--jobs N` exhibits at a time,
 //! committed to stdout in request order, so the output is **bit-identical
 //! at any `--jobs` value**. A panicking exhibit is isolated — the others
 //! still print and the process exits nonzero. Every run writes
 //! `repro_manifest.json` (seed, config, git commit, per-exhibit status and
-//! timings) into the output directory; `--resume` loads it and skips
-//! exhibits already recorded as completed under the same seed/config.
+//! timings) into the output directory.
 //!
 //! The open-loop exhibits (`loadsweep`, `fairness`) additionally emit a
 //! machine-readable JSON artifact into the output directory on every run;
@@ -39,7 +37,6 @@
 //! trace: cycle attribution (with the conservation invariant), barrier
 //! episode extraction, and per-tenant SLO timelines.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -136,7 +133,8 @@ fn default_out_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../repro_out")
 }
 
-/// Config pairs that must match for `--resume` to trust a manifest.
+/// The config pairs that determine an exhibit's numbers, as recorded in
+/// the run manifest.
 fn config_pairs(config: &ReproConfig) -> Vec<(String, String)> {
     vec![
         ("reps".to_string(), config.reps.to_string()),
@@ -161,46 +159,20 @@ fn run(options: CliOptions) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let pairs = config_pairs(&options.config);
-    let manifest_path = out_dir.join(RunManifest::file_name("repro"));
-
-    // --resume: trust only a manifest produced under the identical
-    // seed/reps/scale configuration.
-    let mut prior: Option<RunManifest> = None;
-    if options.resume {
-        match RunManifest::load(&manifest_path) {
-            Ok(m) if m.matches(options.config.seed, &pairs) => prior = Some(m),
-            Ok(_) => eprintln!(
-                "--resume: {} was produced under a different seed/config; rerunning everything",
-                manifest_path.display()
-            ),
-            Err(e) => eprintln!("--resume: {e}; rerunning everything"),
-        }
-    }
-    let completed: BTreeSet<String> = prior.as_ref().map(RunManifest::completed).unwrap_or_default();
-    let (skipped, to_run): (Vec<String>, Vec<String>) = options
-        .targets
-        .iter()
-        .cloned()
-        .partition(|t| completed.contains(t));
-    for id in &skipped {
-        eprintln!("{id}: completed in previous run, skipping (--resume)");
-    }
-
     // Parallelism goes to the outermost layer that can use it: with one
     // exhibit to run, the sweep inside it fans out over the engine; with
     // several, the exhibits themselves are the jobs (and sweep inside each
     // sequentially, keeping the thread count at --jobs).
-    let (pool_workers, inner_jobs) = if to_run.len() <= 1 {
+    let (pool_workers, inner_jobs) = if options.targets.len() <= 1 {
         (1, options.jobs)
     } else {
-        (options.jobs.min(to_run.len()), 1)
+        (options.jobs.min(options.targets.len()), 1)
     };
     let inner_config = options.config.with_jobs(inner_jobs);
     let tracing = options.trace.is_some();
 
     let mut set = JobSet::new(options.config.seed);
-    for id in &to_run {
+    for id in &options.targets {
         let id = id.clone();
         set.push_seeded(id.clone(), options.config.seed, move |_seed| {
             render_one(&id, &inner_config, tracing)
@@ -211,19 +183,14 @@ fn run(options: CliOptions) -> ExitCode {
     // Commit phase: stdout and CSV files strictly in request order, then
     // the manifest. Failures never abort the commit of other exhibits.
     let mut manifest = RunManifest::new("repro", options.config.seed);
-    // Only the pairs that determine the numbers go into config (the resume
-    // equality check); the worker count is observability, recorded below.
-    for (key, value) in &pairs {
-        manifest.set_config(key, value.clone());
+    // Only the pairs that determine the numbers go into config; the worker
+    // count is observability, recorded below.
+    for (key, value) in config_pairs(&options.config) {
+        manifest.set_config(&key, value);
     }
     manifest.git = git_commit(&PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.."));
     manifest.workers = report.workers.len();
     manifest.elapsed_ms = report.elapsed.as_secs_f64() * 1e3;
-    for id in &skipped {
-        if let Some(record) = prior.as_ref().and_then(|m| m.job(id)) {
-            manifest.push_record(record.clone());
-        }
-    }
 
     let mut failures: Vec<String> = Vec::new();
     // Traced units of every successful exhibit, in request (commit) order —
@@ -280,7 +247,7 @@ fn run(options: CliOptions) -> ExitCode {
         }
     }
     if options.metrics {
-        print!("{}", run_metrics(&report, &failures, &skipped, trace_event_count).to_text());
+        print!("{}", run_metrics(&report, &failures, trace_event_count).to_text());
     }
 
     match manifest.write_to(&out_dir) {
@@ -288,10 +255,9 @@ fn run(options: CliOptions) -> ExitCode {
         Err(e) => eprintln!("cannot write run manifest to {}: {e}", out_dir.display()),
     }
     eprintln!(
-        "repro: {} ok, {} failed, {} skipped in {:.1} ms ({} worker(s), {:.0} % mean utilization)",
+        "repro: {} ok, {} failed in {:.1} ms ({} worker(s), {:.0} % mean utilization)",
         report.ok_count(),
         failures.len(),
-        skipped.len(),
         report.elapsed.as_secs_f64() * 1e3,
         report.workers.len(),
         report.mean_utilization() * 100.0
@@ -339,13 +305,11 @@ fn write_trace(
 fn run_metrics(
     report: &RunReport<Rendered>,
     failures: &[String],
-    skipped: &[String],
     trace_events: usize,
 ) -> abs_obs::metrics::Snapshot {
     let mut reg = Registry::new();
     reg.add("exhibits_ok", report.ok_count() as u64);
     reg.add("exhibits_failed", failures.len() as u64);
-    reg.add("exhibits_skipped", skipped.len() as u64);
     reg.set_gauge("elapsed_ms", report.elapsed.as_secs_f64() * 1e3);
     reg.set_gauge("mean_utilization", report.mean_utilization());
     reg.set_gauge("workers", report.workers.len() as f64);

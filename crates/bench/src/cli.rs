@@ -54,8 +54,6 @@ pub struct CliOptions {
     pub csv_dir: Option<PathBuf>,
     /// Worker threads for the execution engine.
     pub jobs: usize,
-    /// Skip exhibits recorded as completed in the run manifest.
-    pub resume: bool,
     /// Write a Chrome trace-event JSON file of the run to this path.
     pub trace: Option<PathBuf>,
     /// Print a metrics snapshot of the run to stdout.
@@ -93,7 +91,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     let mut config = ReproConfig::paper();
     let mut csv_dir: Option<PathBuf> = None;
     let mut jobs = default_jobs.max(1);
-    let mut resume = false;
     let mut trace: Option<PathBuf> = None;
     let mut metrics = false;
     let mut targets: Vec<String> = Vec::new();
@@ -161,7 +158,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                 }
                 jobs = v;
             }
-            "--resume" => resume = true,
             "--csv" => {
                 let Some(dir) = args.next() else {
                     return Parsed::Error("--csv needs a directory".into());
@@ -193,8 +189,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
                             .into(),
                     );
                 }
-                // Stored as permille so ReproConfig stays Eq-comparable
-                // for the --resume manifest check.
+                // Stored as permille so ReproConfig stays Eq-comparable.
                 #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
                 let permille = (v * 1000.0).round().max(1.0) as u64;
                 config.load = Some(u32::try_from(permille).unwrap_or(u32::MAX));
@@ -224,6 +219,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
             "--help" | "-h" => return Parsed::Help,
             "all" => targets.extend(IDS.iter().map(|s| s.to_string())),
             other if IDS.contains(&other) => targets.push(other.to_string()),
+            other if other.starts_with('-') => {
+                return Parsed::Error(format!("unknown option {other:?}"));
+            }
             other => {
                 return Parsed::Error(format!(
                     "unknown experiment {other:?}; known: {}",
@@ -235,29 +233,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, default_jobs: usize) 
     if targets.is_empty() {
         return Parsed::Error("no experiments requested".into());
     }
-    // --resume replays completed exhibits from the manifest without
-    // re-running them, so a combined trace/metrics report would silently
-    // cover only the remainder; reject the combination outright.
-    if resume && trace.is_some() {
-        return Parsed::Error(
-            "--trace cannot be combined with --resume: skipped exhibits would be \
-             missing from the trace; rerun without --resume"
-                .into(),
-        );
-    }
-    if resume && metrics {
-        return Parsed::Error(
-            "--metrics cannot be combined with --resume: skipped exhibits would be \
-             missing from the metrics; rerun without --resume"
-                .into(),
-        );
-    }
     dedup_preserving_order(&mut targets);
     Parsed::Run(CliOptions {
         config,
         csv_dir,
         jobs,
-        resume,
         trace,
         metrics,
         targets,
@@ -275,18 +255,15 @@ fn dedup_preserving_order(targets: &mut Vec<String>) {
 pub fn help() -> String {
     format!(
         "repro — regenerate the paper's tables and figures\n\n\
-         usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K] [--resume]\n\
+         usage: repro [--quick] [--reps N] [--seed S] [--jobs N] [--kernel K]\n\
         \x20            [--csv DIR] [--trace FILE] [--metrics]\n\
         \x20            [--load R] [--tenants N] [--sched P] <id>... | all\n\
         \x20       repro analyze <trace.json> [--json]\n\n\
          --jobs N    run exhibits on N worker threads (default: available\n\
         \x20            parallelism); output is bit-identical at any N\n\
-         --kernel K  simulation kernel: event (default, skip-ahead) or\n\
-        \x20            cycle (the reference oracle); results are\n\
-        \x20            bit-identical under either\n\
-         --resume    skip exhibits recorded as completed in repro_out/'s\n\
-        \x20            run manifest (same seed/reps config required);\n\
-        \x20            incompatible with --trace/--metrics\n\
+         --kernel K  simulation kernel of the simulators that have two:\n\
+        \x20            event (default, skip-ahead) or cycle (the reference\n\
+        \x20            oracle); results are bit-identical under either\n\
          --trace F   write a Chrome trace-event JSON file (open in Perfetto\n\
         \x20            or chrome://tracing); sim lanes are seed-deterministic\n\
          --metrics   print a metrics snapshot of the run\n\
@@ -398,10 +375,9 @@ mod tests {
 
     #[test]
     fn defaults_and_flags() {
-        let o = options(&["--quick", "--jobs", "2", "--resume", "--csv", "out", "fig5"]);
+        let o = options(&["--quick", "--jobs", "2", "--csv", "out", "fig5"]);
         assert_eq!(o.config.reps, ReproConfig::quick().reps);
         assert_eq!(o.jobs, 2);
-        assert!(o.resume);
         assert_eq!(o.csv_dir, Some(PathBuf::from("out")));
         assert_eq!(o.targets, vec!["fig5"]);
     }
@@ -410,7 +386,6 @@ mod tests {
     fn default_jobs_comes_from_caller() {
         let o = options(&["fig5"]);
         assert_eq!(o.jobs, 4);
-        assert!(!o.resume);
     }
 
     #[test]
@@ -458,15 +433,21 @@ mod tests {
     }
 
     #[test]
-    fn trace_conflicts_with_resume() {
-        match parse(&["--resume", "--trace", "t.json", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
+    fn removed_resume_flag_rejected() {
+        // `--resume` was removed: a full `repro all` takes under half a
+        // minute, so no run skips exhibits recorded in an earlier manifest.
+        for args in [
+            &["--resume", "fig7"][..],
+            &["fig7", "--resume"],
+            &["--resume", "--trace", "t.json", "fig7"],
+            &["--metrics", "--resume", "fig7"],
+        ] {
+            match parse(args) {
+                Parsed::Error(msg) => assert_eq!(msg, "unknown option \"--resume\""),
+                other => panic!("expected error, got {other:?}"),
+            }
         }
-        match parse(&["--metrics", "--resume", "fig7"]) {
-            Parsed::Error(msg) => assert!(msg.contains("--resume"), "{msg}"),
-            other => panic!("expected error, got {other:?}"),
-        }
+        assert!(!help().contains("--resume"), "{}", help());
     }
 
     #[test]

@@ -37,10 +37,7 @@ pub fn single(config: &ReproConfig) -> Table {
         let sim = SingleCounterSim::new(cfg, policy);
         let mut s = OnlineStats::new();
         for i in 0..reps {
-            s.push(
-                sim.run_with(derive_seed(config.seed, i as u64), config.kernel)
-                    .mean_accesses(),
-            );
+            s.push(sim.run(derive_seed(config.seed, i as u64)).mean_accesses());
         }
         s.mean()
     };

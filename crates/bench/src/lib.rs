@@ -50,14 +50,14 @@ pub struct ReproConfig {
     /// their points out over an `abs-exec` engine when this exceeds 1).
     /// Results are bit-for-bit identical at any value.
     pub jobs: usize,
-    /// Simulation kernel driving every episode. The kernels are
-    /// bit-identical; `cycle` is the reference oracle, `event` (the
-    /// default) skips dead cycles.
+    /// Simulation kernel driving every episode of the simulators that have
+    /// two. The kernels are bit-identical; `cycle` is the reference oracle,
+    /// `event` (the default) skips dead cycles. The single-counter barrier
+    /// has one kernel and ignores this.
     pub kernel: Kernel,
     /// Offered-load override for the open-loop exhibits, in permille of
     /// each sweep grid point's baseline rate (`None` sweeps the built-in
-    /// grid; stored as permille so the config stays `Eq`-comparable for
-    /// `--resume`).
+    /// grid; stored as permille so the config stays `Eq`-comparable).
     pub load: Option<u32>,
     /// Tenant population size for the open-loop exhibits.
     pub tenants: usize,

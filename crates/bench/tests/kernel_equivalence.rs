@@ -8,7 +8,7 @@
 
 use abs_core::{
     BackoffPolicy, BarrierConfig, BarrierSim, CombiningConfig, CombiningTreeSim, Kernel,
-    ResourceConfig, ResourcePolicy, ResourceSim, SingleCounterSim,
+    ResourceConfig, ResourcePolicy, ResourceSim,
 };
 use abs_load::{Arrival, LoadConfig, OpMix, OpenLoopSim, Tenant};
 use abs_net::{
@@ -485,41 +485,6 @@ fn property_resource_kernels_bit_identical() {
     });
 }
 
-#[test]
-fn single_counter_exhaustive_grid_bit_identical() {
-    for policy in barrier_policies() {
-        for arb in Arbitration::ALL {
-            for (n, a) in [(48usize, 400u64), (64, 0), (1, 10), (512, 100)] {
-                let sim =
-                    SingleCounterSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
-                for seed in 0..2u64 {
-                    assert_eq!(
-                        sim.run_with(seed, Kernel::Cycle),
-                        sim.run_with(seed, Kernel::Event),
-                        "{policy:?} {arb:?} N={n} A={a} seed={seed}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn property_single_counter_kernels_bit_identical() {
-    let policies = barrier_policies();
-    forall!(Config::with_cases(64), (
-        seed in check::any_u64(),
-        policy_ix in check::usize_in(0..8),
-        arb_ix in check::usize_in(0..3),
-        n in check::usize_in(1..129),
-        a in check::u64_in(0..=1000),
-    ) {
-        let cfg = BarrierConfig::new(n, a).with_arbitration(Arbitration::ALL[arb_ix]);
-        let sim = SingleCounterSim::new(cfg, policies[policy_ix]);
-        assert_eq!(sim.run_with(seed, Kernel::Cycle), sim.run_with(seed, Kernel::Event));
-    });
-}
-
 /// Arrival spans where the wheel's arrival stream meets its scheduled
 /// wake-ups: arrivals spread over one cycle or a few land on the cycles of
 /// the first backoff expiries, and spans around `TimeWheel::SLOTS` (256)
@@ -579,21 +544,6 @@ fn resource_arrival_merge_bit_identical() {
     for (ix, policy) in resource_policies().into_iter().enumerate() {
         for_merge_cells(ix, |n, a, arb, seed| {
             let sim = ResourceSim::new(ResourceConfig::new(n, a, 5).with_arbitration(arb), policy);
-            assert_eq!(
-                sim.run_with(seed, Kernel::Cycle),
-                sim.run_with(seed, Kernel::Event),
-                "{policy:?} {arb:?} N={n} A={a} seed={seed}"
-            );
-        });
-    }
-}
-
-#[test]
-fn single_counter_arrival_merge_bit_identical() {
-    for (ix, policy) in barrier_policies().into_iter().enumerate() {
-        for_merge_cells(ix, |n, a, arb, seed| {
-            let sim =
-                SingleCounterSim::new(BarrierConfig::new(n, a).with_arbitration(arb), policy);
             assert_eq!(
                 sim.run_with(seed, Kernel::Cycle),
                 sim.run_with(seed, Kernel::Event),

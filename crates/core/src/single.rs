@@ -18,10 +18,8 @@
 //! `N − i` cycles (at best one arrival per cycle), or `base^k` under
 //! exponential backoff on the `k`-th unsuccessful poll.
 
-use abs_net::module::{MemoryModule, PendingSet, Request};
-use abs_sim::kernel::Kernel;
+use abs_net::module::{MemoryModule, Request};
 use abs_sim::rng::Xoshiro256PlusPlus;
-use abs_sim::wheel::TimeWheel;
 
 use crate::barrier::BarrierConfig;
 use crate::policy::BackoffPolicy;
@@ -111,26 +109,13 @@ impl SingleCounterSim {
         self.policy
     }
 
-    /// Simulates one episode on the default (event-driven) kernel.
-    pub fn run(&self, seed: u64) -> SingleCounterRun {
-        self.run_with(seed, Kernel::default())
-    }
-
-    /// Simulates one episode on the given kernel.
+    /// Simulates one episode.
     ///
-    /// `Kernel::Cycle` is the reference oracle; `Kernel::Event` is
-    /// bit-identical and much faster (the equivalence suite in `abs-bench`
-    /// asserts the identity).
-    pub fn run_with(&self, seed: u64, kernel: Kernel) -> SingleCounterRun {
-        match kernel {
-            Kernel::Cycle => self.run_cycle_kernel(seed),
-            Kernel::Event => self.run_event_kernel(seed),
-        }
-    }
-
-    /// The reference cycle stepper: every simulated cycle rescans all `N`
-    /// processors to activate arrivals/expiries and collect requests.
-    fn run_cycle_kernel(&self, seed: u64) -> SingleCounterRun {
+    /// A cycle stepper: every simulated cycle rescans all `N` processors
+    /// to activate arrivals and expiries and collect requests, and jumps
+    /// over cycles in which nobody requests. The paper's exhibit runs at
+    /// N = 64, where this costs tens of milliseconds per `repro single`.
+    pub fn run(&self, seed: u64) -> SingleCounterRun {
         let n = self.config.n;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
         let arrivals = rng.uniform_arrivals(n, self.config.span);
@@ -251,148 +236,6 @@ impl SingleCounterSim {
             completion: done_at.iter().copied().max().unwrap_or(0),
         }
     }
-
-    /// The event-driven skip-ahead kernel.
-    ///
-    /// Increments and polls share the single module, so one [`PendingSet`]
-    /// carries both request kinds; a [`TimeWheel`] replays the sorted
-    /// arrivals from a cursor and parks the backoff expiries. A serve that
-    /// leaves the processor requesting next cycle (increment-to-poll
-    /// handoff, zero-delay poll miss) re-ages the request in place so the
-    /// bulk presented-access charge runs unbroken; the RNG draw order per
-    /// busy cycle (arbitrate, then any sampled poll delay) matches the
-    /// cycle stepper.
-    fn run_event_kernel(&self, seed: u64) -> SingleCounterRun {
-        let n = self.config.n;
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
-        let arrivals = rng.uniform_arrivals(n, self.config.span);
-
-        let mut phases = vec![Phase::NotArrived; n];
-        let mut accesses = vec![0u64; n];
-        let mut polls = vec![0u32; n];
-        let mut done_at = vec![0u64; n];
-        let mut pending = PendingSet::new(self.config.arbitration, n);
-        // First cycle the processor's current request has been charged
-        // from; unbroken across in-place re-ages (see above).
-        let mut charge_from = vec![0u64; n];
-
-        let mut now = arrivals[0];
-        let mut count = 0usize;
-        let mut done = 0usize;
-        let mut wheel = TimeWheel::with_arrivals(&arrivals);
-        let mut due: Vec<usize> = Vec::new();
-
-        while done < n {
-            // Activate arrivals and expired waits due this cycle, in id
-            // order.
-            wheel.pop_due(now, &mut due);
-            for &id in &due {
-                match phases[id] {
-                    Phase::NotArrived => {
-                        phases[id] = Phase::IncRequest { since: now };
-                        pending.insert(Request::new(id, now));
-                        charge_from[id] = now;
-                    }
-                    Phase::Waiting { until } => {
-                        debug_assert!(until <= now);
-                        phases[id] = Phase::Poll { since: now };
-                        pending.insert(Request::new(id, now));
-                        charge_from[id] = now;
-                    }
-                    _ => unreachable!("only dormant processors sleep in the wheel"),
-                }
-            }
-
-            debug_assert!(!pending.is_empty(), "processed a dead cycle at {now}");
-
-            if let Some(winner) = pending.arbitrate(&mut rng) {
-                match phases[winner] {
-                    Phase::IncRequest { .. } => {
-                        count += 1;
-                        if count == n {
-                            // The last incrementer proceeds immediately: its
-                            // own fetch-and-add returned N.
-                            pending.remove(winner);
-                            accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
-                            phases[winner] = Phase::Done;
-                            done_at[winner] = now;
-                            done += 1;
-                        } else {
-                            let wait = self.policy.variable_wait(n, count);
-                            if wait == 0 {
-                                // The processor keeps requesting the same
-                                // module next cycle, now as a poller: re-age
-                                // in place, keep the charge running.
-                                phases[winner] = Phase::Poll { since: now + 1 };
-                                pending.refresh(winner, now + 1);
-                            } else {
-                                pending.remove(winner);
-                                accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
-                                phases[winner] = Phase::Waiting {
-                                    until: now + 1 + wait,
-                                };
-                                wheel.schedule(now + 1 + wait, winner);
-                            }
-                        }
-                    }
-                    Phase::Poll { .. } => {
-                        if count == n {
-                            pending.remove(winner);
-                            accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
-                            phases[winner] = Phase::Done;
-                            done_at[winner] = now;
-                            done += 1;
-                        } else {
-                            polls[winner] += 1;
-                            // The poll returned the current count, so
-                            // state-based variable backoff re-applies on top
-                            // of the poll-count-based flag backoff: take the
-                            // larger of the two.
-                            let by_polls = self
-                                .policy
-                                .sampled_flag_delay(polls[winner], &mut rng)
-                                // Parking is meaningless without a separate
-                                // flag writer to wake us; saturate instead.
-                                .unwrap_or(u64::MAX >> 1);
-                            let by_state = self.policy.variable_wait(n, count.max(1));
-                            let delay = by_polls.max(by_state);
-                            if delay == 0 {
-                                phases[winner] = Phase::Poll { since: now + 1 };
-                                pending.refresh(winner, now + 1);
-                            } else {
-                                pending.remove(winner);
-                                accesses[winner] = accesses[winner].saturating_add(now - charge_from[winner] + 1);
-                                phases[winner] = Phase::Waiting {
-                                    until: now + 1 + delay,
-                                };
-                                wheel.schedule(now + 1 + delay, winner);
-                            }
-                        }
-                    }
-                    _ => unreachable!("only requesters are served"),
-                }
-            }
-
-            // Advance time: one cycle while anything is pending, else jump
-            // to the next wake-up.
-            if !pending.is_empty() {
-                now += 1;
-            } else if done < n {
-                #[expect(clippy::expect_used, reason = "done < n guarantees a scheduled event exists")]
-                let next = wheel
-                    .peek_min()
-                    .expect("pending processors must have a next event");
-                now = next.max(now + 1);
-            }
-        }
-
-        let waiting: Vec<u64> = (0..n).map(|i| done_at[i] - arrivals[i]).collect();
-        SingleCounterRun {
-            accesses,
-            waiting,
-            completion: done_at.iter().copied().max().unwrap_or(0),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -418,33 +261,6 @@ mod tests {
     fn deterministic_for_seed() {
         let sim = SingleCounterSim::new(BarrierConfig::new(16, 100), BackoffPolicy::None);
         assert_eq!(sim.run(3), sim.run(3));
-    }
-
-    #[test]
-    fn kernels_bit_identical() {
-        use abs_net::module::Arbitration;
-        let policies = [
-            BackoffPolicy::None,
-            BackoffPolicy::exponential(2),
-            BackoffPolicy::Linear { step: 10 },
-            BackoffPolicy::on_variable(),
-            BackoffPolicy::ExponentialJittered { base: 2 },
-        ];
-        for policy in policies {
-            for arb in Arbitration::ALL {
-                for (n, span) in [(48usize, 400u64), (16, 0), (1, 10)] {
-                    let cfg = BarrierConfig::new(n, span).with_arbitration(arb);
-                    let sim = SingleCounterSim::new(cfg, policy);
-                    for seed in 0..3 {
-                        assert_eq!(
-                            sim.run_with(seed, Kernel::Cycle),
-                            sim.run_with(seed, Kernel::Event),
-                            "policy {policy:?} arbitration {arb:?} n {n} seed {seed}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

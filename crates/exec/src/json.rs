@@ -1,10 +1,12 @@
 //! A minimal JSON value model with a parser and renderer.
 //!
-//! The hermetic workspace has no serde; the run manifest needs to be both
-//! written (for humans and tooling) and read back (for `--resume`), so this
-//! module implements the small slice of JSON that covers: objects, arrays,
-//! strings with standard escapes, finite numbers, booleans, and null.
-//! Object key order is preserved so rendering is deterministic.
+//! The hermetic workspace has no serde. The run manifest, the Chrome trace
+//! export and the exhibits' JSON artifacts are written with this module,
+//! and `abs_insight::import` reads traces back with its parser. It
+//! implements the small slice of
+//! JSON that covers: objects, arrays, strings with standard escapes,
+//! finite numbers, booleans, and null. Object key order is preserved so
+//! rendering is deterministic.
 
 use std::fmt::Write as _;
 

@@ -19,9 +19,8 @@
 //! * [`RunReport`] — outcomes in id order plus observability: per-job wall
 //!   time and queue wait, and per-worker busy time and utilization.
 //! * [`RunManifest`] — a JSON record of seed, config, git commit, and
-//!   per-job status written beside the run's artifacts; a later run with
-//!   the same seed/config can load it and **resume**, skipping completed
-//!   jobs. (Serialization is in-tree: [`json`] is a minimal JSON model.)
+//!   per-job status and timings written beside the run's artifacts.
+//!   (Serialization is in-tree: [`json`] is a minimal JSON model.)
 //! * [`run_repetitions`] — the parallel path for
 //!   [`abs_sim::sweep::Repetitions`], bit-for-bit equal to its sequential
 //!   `run`.

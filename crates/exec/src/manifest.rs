@@ -1,16 +1,15 @@
 //! The run manifest: a JSON record of what a run executed and how it went.
 //!
-//! A [`RunManifest`] captures enough to (a) audit a run — master seed,
-//! config key/values, best-effort git commit, per-job seed/status/timings —
-//! and (b) resume it: a later run with an identical configuration can load
-//! the manifest and skip every job recorded as `ok`. Manifests are written
-//! to the caller's output directory (`repro_out/` for the `repro` binary)
-//! as `<tool>_manifest.json`.
+//! A [`RunManifest`] captures enough to audit a run: master seed, config
+//! key/values, best-effort git commit, per-job seed/status/timings. Its
+//! per-job `wall_ms` is what per-exhibit host-time comparisons are built
+//! from. Manifests are written to the caller's output directory
+//! (`repro_out/` for the `repro` binary) as `<tool>_manifest.json`, and
+//! read back, where needed, with [`Value::parse`].
 //!
 //! Seeds are stored as hex *strings*, not JSON numbers: a JSON number is a
 //! double and cannot represent every `u64` exactly.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 #[expect(clippy::disallowed_types, reason = "the manifest records the run's creation time, which no result reads")]
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -33,7 +32,7 @@ pub enum JobStatus {
 pub struct JobRecord {
     /// Stable job id (commit order).
     pub id: usize,
-    /// Job name (the resume key).
+    /// Job name.
     pub name: String,
     /// Seed the job received.
     pub seed: u64,
@@ -47,11 +46,12 @@ pub struct JobRecord {
     pub artifact: Option<String>,
 }
 
-/// A complete run record, serializable to and from JSON.
+/// A complete run record, serializable to JSON.
 ///
 /// # Examples
 ///
 /// ```
+/// use abs_exec::json::Value;
 /// use abs_exec::{Engine, JobSet, RunManifest};
 ///
 /// let mut set = JobSet::new(1);
@@ -60,9 +60,10 @@ pub struct JobRecord {
 /// let mut manifest = RunManifest::new("demo", 1);
 /// manifest.set_config("reps", "10");
 /// manifest.record_report(&report);
-/// let json = manifest.to_json();
-/// let back = RunManifest::from_json(&json).unwrap();
-/// assert_eq!(back.completed(), ["a".to_string()].into_iter().collect());
+/// let doc = Value::parse(&manifest.to_json()).unwrap();
+/// let jobs = doc.get("jobs").and_then(Value::as_array).unwrap();
+/// assert_eq!(jobs[0].get("name").and_then(Value::as_str), Some("a"));
+/// assert_eq!(jobs[0].get("status").and_then(Value::as_str), Some("ok"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunManifest {
@@ -70,7 +71,7 @@ pub struct RunManifest {
     pub tool: String,
     /// Master seed of the run.
     pub seed: u64,
-    /// Free-form configuration key/value pairs; resume requires equality.
+    /// Free-form configuration key/value pairs.
     pub config: Vec<(String, String)>,
     /// Best-effort git commit of the working tree, if discoverable.
     pub git: Option<String>,
@@ -119,25 +120,6 @@ impl RunManifest {
         }
     }
 
-    /// Looks up a configuration key.
-    pub fn config_value(&self, key: &str) -> Option<&str> {
-        self.config
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether this manifest was produced under the same master seed and
-    /// configuration pairs — the precondition for trusting its `ok` rows
-    /// during resume.
-    pub fn matches(&self, seed: u64, config: &[(String, String)]) -> bool {
-        let mut mine = self.config.clone();
-        let mut theirs = config.to_vec();
-        mine.sort();
-        theirs.sort();
-        self.seed == seed && mine == theirs
-    }
-
     /// Appends one row built from an engine outcome. `artifact` names any
     /// file the job's commit step produced.
     pub fn record<T>(&mut self, outcome: &JobOutcome<T>, artifact: Option<String>) {
@@ -164,23 +146,10 @@ impl RunManifest {
         }
     }
 
-    /// Appends a pre-built row (used when merging resumed runs).
+    /// Appends a pre-built row (for rows whose status the caller decides,
+    /// e.g. an artifact that failed to write).
     pub fn push_record(&mut self, record: JobRecord) {
         self.jobs.push(record);
-    }
-
-    /// Names of every job recorded as `ok` — the resume skip-set.
-    pub fn completed(&self) -> BTreeSet<String> {
-        self.jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Ok)
-            .map(|j| j.name.clone())
-            .collect()
-    }
-
-    /// The row for a given job name, if present.
-    pub fn job(&self, name: &str) -> Option<&JobRecord> {
-        self.jobs.iter().find(|j| j.name == name)
     }
 
     /// Serializes the manifest as pretty-printed JSON.
@@ -238,50 +207,6 @@ impl RunManifest {
         .render_pretty()
     }
 
-    /// Parses a manifest back from JSON.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = Value::parse(text)?;
-        let tool = str_field(&v, "tool")?;
-        let seed = seed_field(&v, "seed")?;
-        let config = match v.get("config") {
-            Some(Value::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, val)| {
-                    val.as_str()
-                        .map(|s| (k.clone(), s.to_string()))
-                        .ok_or_else(|| format!("config key {k:?} is not a string"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("missing config object".to_string()),
-        };
-        let git = v.get("git").and_then(|g| g.as_str()).map(str::to_string);
-        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
-        let created_unix_ms = v
-            .get("created_unix_ms")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0) as u64;
-        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
-        let workers = v.get("workers").and_then(Value::as_f64).unwrap_or(0.0) as usize;
-        let elapsed_ms = v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0);
-        let jobs = v
-            .get("jobs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| "missing jobs array".to_string())?
-            .iter()
-            .map(parse_job)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            tool,
-            seed,
-            config,
-            git,
-            created_unix_ms,
-            workers,
-            elapsed_ms,
-            jobs,
-        })
-    }
-
     /// Writes `<tool>_manifest.json` into `dir`, creating it if needed.
     pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
@@ -289,61 +214,10 @@ impl RunManifest {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// Loads a manifest from a file.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
 }
 
 fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
-}
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|f| f.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-/// Seeds are written as `0x…` hex strings; accept plain decimal too.
-fn seed_field(v: &Value, key: &str) -> Result<u64, String> {
-    let text = str_field(v, key)?;
-    let parsed = match text.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => text.parse(),
-    };
-    parsed.map_err(|_| format!("field {key:?} is not a u64: {text:?}"))
-}
-
-fn parse_job(v: &Value) -> Result<JobRecord, String> {
-    let status_text = str_field(v, "status")?;
-    let status = match status_text.as_str() {
-        "ok" => JobStatus::Ok,
-        "failed" => JobStatus::Failed(
-            v.get("error")
-                .and_then(|e| e.as_str())
-                .unwrap_or("unknown")
-                .to_string(),
-        ),
-        other => return Err(format!("unknown job status {other:?}")),
-    };
-    Ok(JobRecord {
-        #[expect(clippy::cast_possible_truncation, reason = "`as` saturates, which is the wanted clamp for an out-of-range value")]
-        id: v.get("id").and_then(Value::as_f64).unwrap_or(0.0) as usize,
-        name: str_field(v, "name")?,
-        seed: seed_field(v, "seed")?,
-        status,
-        wall_ms: v.get("wall_ms").and_then(Value::as_f64).unwrap_or(0.0),
-        queue_ms: v.get("queue_ms").and_then(Value::as_f64).unwrap_or(0.0),
-        artifact: v
-            .get("artifact")
-            .and_then(|a| a.as_str())
-            .map(str::to_string),
-    })
 }
 
 /// Best-effort current commit id of the repository at `root`, read straight
@@ -378,6 +252,7 @@ mod tests {
         m.set_config("max_n", "64");
         m.workers = 2;
         m.elapsed_ms = 12.5;
+        m.git = Some("0123abcd".into());
         m.push_record(JobRecord {
             id: 0,
             name: "fig5".into(),
@@ -399,37 +274,56 @@ mod tests {
         m
     }
 
+    /// Asserts that `doc`, a parsed manifest file, carries every field of
+    /// `m`.
+    fn assert_document(doc: &Value, m: &RunManifest) {
+        let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+        let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64);
+        assert_eq!(text(doc, "tool").as_deref(), Some(m.tool.as_str()));
+        assert_eq!(text(doc, "seed"), Some(format!("{:#x}", m.seed)));
+        let config: Vec<(String, String)> = match doc.get("config") {
+            Some(Value::Obj(pairs)) => pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_str().unwrap().to_string()))
+                .collect(),
+            other => panic!("config is not an object: {other:?}"),
+        };
+        assert_eq!(config, m.config);
+        assert_eq!(text(doc, "git"), m.git);
+        assert_eq!(num(doc, "created_unix_ms"), Some(m.created_unix_ms as f64));
+        assert_eq!(num(doc, "workers"), Some(m.workers as f64));
+        assert_eq!(num(doc, "elapsed_ms"), Some(m.elapsed_ms));
+        let jobs = doc.get("jobs").and_then(Value::as_array).unwrap();
+        assert_eq!(jobs.len(), m.jobs.len());
+        for (job, record) in jobs.iter().zip(&m.jobs) {
+            assert_eq!(num(job, "id"), Some(record.id as f64));
+            assert_eq!(text(job, "name").as_deref(), Some(record.name.as_str()));
+            assert_eq!(text(job, "seed"), Some(format!("{:#x}", record.seed)));
+            let (status, error) = match &record.status {
+                JobStatus::Ok => ("ok", None),
+                JobStatus::Failed(message) => ("failed", Some(message.clone())),
+            };
+            assert_eq!(text(job, "status").as_deref(), Some(status));
+            assert_eq!(text(job, "error"), error);
+            assert_eq!(num(job, "wall_ms"), Some(record.wall_ms));
+            assert_eq!(num(job, "queue_ms"), Some(record.queue_ms));
+            assert_eq!(text(job, "artifact"), record.artifact);
+        }
+    }
+
     #[test]
     fn json_roundtrip_preserves_everything() {
         let m = sample();
-        let back = RunManifest::from_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        // u64::MAX survives (the reason seeds are strings).
-        assert_eq!(back.jobs[0].seed, u64::MAX);
-    }
-
-    #[test]
-    fn completed_lists_only_ok_jobs() {
-        let m = sample();
-        let done = m.completed();
-        assert!(done.contains("fig5"));
-        assert!(!done.contains("fig6"));
-    }
-
-    #[test]
-    fn matches_requires_seed_and_config() {
-        let m = sample();
-        let config = vec![
-            ("max_n".to_string(), "64".to_string()),
-            ("reps".to_string(), "10".to_string()),
-        ];
-        // Order-insensitive on keys.
-        assert!(m.matches(0xDEAD_BEEF_F00D_CAFE, &config));
-        assert!(!m.matches(1, &config));
-        assert!(!m.matches(
-            0xDEAD_BEEF_F00D_CAFE,
-            &[("reps".to_string(), "100".to_string())]
-        ));
+        let doc = Value::parse(&m.to_json()).unwrap();
+        assert_document(&doc, &m);
+        // u64::MAX survives (the reason seeds are strings): a JSON number
+        // would round it to 2^64.
+        let jobs = doc.get("jobs").and_then(Value::as_array).unwrap();
+        let seed = jobs[0].get("seed").and_then(Value::as_str).unwrap();
+        assert_eq!(u64::from_str_radix(seed.trim_start_matches("0x"), 16), Ok(u64::MAX));
+        // A failed row keeps its error text; an ok row has none.
+        assert_eq!(jobs[1].get("error").and_then(Value::as_str), Some("index out of bounds"));
+        assert_eq!(jobs[0].get("error"), Some(&Value::Null));
     }
 
     #[test]
@@ -438,8 +332,9 @@ mod tests {
         let m = sample();
         let path = m.write_to(&dir).unwrap();
         assert!(path.ends_with("unit_manifest.json"));
-        let back = RunManifest::load(&path).unwrap();
-        assert_eq!(back, m);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, m.to_json());
+        assert_document(&Value::parse(&text).unwrap(), &m);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -447,9 +342,13 @@ mod tests {
     fn set_config_replaces() {
         let mut m = RunManifest::new("t", 0);
         m.set_config("k", "1");
+        m.set_config("j", "3");
         m.set_config("k", "2");
-        assert_eq!(m.config_value("k"), Some("2"));
-        assert_eq!(m.config.len(), 1);
+        // Replaced in place: insertion order is kept.
+        assert_eq!(
+            m.config,
+            vec![("k".to_string(), "2".to_string()), ("j".to_string(), "3".to_string())]
+        );
     }
 
     #[test]

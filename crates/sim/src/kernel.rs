@@ -1,7 +1,8 @@
 //! Simulation-kernel selection.
 //!
-//! Every simulator with a per-cycle hot loop exists in two bit-identical
-//! implementations:
+//! The simulators whose event kernel saves host time that matters exist
+//! in two bit-identical implementations (the single-counter barrier, whose
+//! one exhibit runs at N = 64, has only the cycle stepper):
 //!
 //! * [`Kernel::Cycle`] — the literal cycle stepper: every simulated cycle
 //!   rescans the full processor/port population. Slow, but a direct
@@ -10,7 +11,7 @@
 //! * [`Kernel::Event`] — the event-driven skip-ahead kernel: incremental
 //!   active sets updated at phase transitions, a bucketed time wheel for
 //!   future wake-ups, and a next-event clock that jumps over dead cycles.
-//!   This is the default everywhere.
+//!   This is the default wherever it exists.
 //!
 //! "Bit-identical" is meant literally: same RNG draw sequence, same result
 //! structs, and — with an enabled trace sink — the same event bytes. The

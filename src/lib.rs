@@ -25,7 +25,7 @@
 //! * [`model`] — the analytic Models 1 and 2 and hardware-barrier baselines.
 //! * [`exec`] — the deterministic parallel execution engine: seeded job
 //!   sets, a fixed-size worker pool with id-ordered commit, panic
-//!   isolation, and JSON run manifests for `--resume`.
+//!   isolation, and JSON run manifests.
 //! * [`obs`] — cycle-resolved tracing and metrics: trace recorder with a
 //!   bounded ring buffer, metrics registry, Chrome trace-event export
 //!   (Perfetto-compatible), and an in-terminal ASCII timeline.
